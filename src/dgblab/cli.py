@@ -29,10 +29,9 @@ from .control import (
     decay_rate_predict,
     linear_control_gramian,
     nonlinear_control_global,
-    observability_constant,
 )
 from .damping import DampingProfile, make_profile_bump, make_profile_global
-from .dynamics import build_closed_loop, decay_fit, simulate_damped
+from .dynamics import decay_fit, simulate_damped
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -132,6 +131,14 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self["grid.n"] < 4:
             raise ConfigError("grid.n must be at least 4")
+        for key in ("init.mode", "control.u0_mode", "control.u1_mode"):
+            if not 1 <= self[key] <= self["grid.n"]:
+                raise ConfigError(f"{key} must lie in 1..grid.n")
+        # (1, 1, -2) is the smallest zero-sum triple the resonance scan needs
+        if self["lemmas.n_max"] < 2:
+            raise ConfigError("lemmas.n_max must be at least 2")
+        if self["lemmas.floor"] < 1:
+            raise ConfigError("lemmas.floor must be at least 1")
         if self["time.dt"] <= 0:
             raise ConfigError("time.dt must be positive")
         if self["time.t_final"] <= 0:
@@ -324,29 +331,29 @@ def _damped_run(cfg: RunConfig, out_dir: Path):
         "max_energy_residual": max_resid,
         "max_norm_increase": float(np.diff(record.l2norms).max(initial=-np.inf)),
     }
-    return summary, record, profile
+    return summary, record
 
 
 def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
-    summary, _, _ = _damped_run(cfg, out_dir)
+    summary, _ = _damped_run(cfg, out_dir)
     return summary
 
 
 def _run_stabilize(cfg: RunConfig, out_dir: Path) -> dict:
-    summary, record, profile = _damped_run(cfg, out_dir)
+    summary, record = _damped_run(cfg, out_dir)
     t_final = cfg["time.t_final"]
     t0 = cfg["fit.t0"] if cfg["fit.t0"] is not None else t_final / 2.0
     t1 = cfg["fit.t1"] if cfg["fit.t1"] is not None else t_final
     fit = decay_fit(record, (t0, t1))
-    table = build_symbols(cfg.params, cfg["grid.n"])
-    loop = build_closed_loop(table, profile, cfg["grid.n"])
+    # the stepped loop's drift comes from the initial mean, not params.mu
+    abscissa = record.run_meta["spectral_abscissa"]
     summary.update(
         {
             "decay_rate": fit.rate,
             "prefactor": fit.prefactor,
             "r_squared": fit.r_squared,
-            "spectral_abscissa": loop.spectral_abscissa,
-            "rate_over_abscissa": fit.rate / (-loop.spectral_abscissa),
+            "spectral_abscissa": abscissa,
+            "rate_over_abscissa": fit.rate / (-abscissa),
         }
     )
     return summary
@@ -391,12 +398,11 @@ def _run_observability(cfg: RunConfig, out_dir: Path) -> dict:
     profile = _build_profile(cfg)
     n = cfg["grid.n"]
     table = build_symbols(cfg.params, n)
-    report = observability_constant(table, profile, cfg["time.t_final"], n)
     rates = decay_rate_predict(table, profile, cfg["time.t_final"], n)
     _write_profile_artifacts(out_dir, profile, n)
     return {
-        "c_obs": report.c_obs,
-        "rho": report.rho,
+        "c_obs": rates.report.c_obs,
+        "rho": rates.report.rho,
         "gamma_gramian": rates.gamma_gramian,
         "gamma_abscissa": rates.gamma_abscissa,
     }

@@ -91,11 +91,7 @@ def gram_matrix(table: SymbolTable, mode_set, horizon: float) -> np.ndarray:
         raise DegenerateGramianError(
             f"modes {modes[i]} and {modes[j]} share the eigenvalue {lam[i]}"
         )
-    gamma = np.empty((modes.size, modes.size), dtype=np.complex128)
-    off = ~np.eye(modes.size, dtype=bool)
-    gamma[off] = (np.exp(1j * diff[off] * horizon) - 1.0) / (1j * diff[off])
-    np.fill_diagonal(gamma, horizon)
-    return gamma
+    return _gamma_from_eigs(lam, horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,11 +382,14 @@ def nonlinear_control_global(problem: ControlProblem, dt: float = 1e-3) -> Contr
 
 @dataclass(frozen=True, eq=False)
 class ObservabilityReport:
+    """Observability constant of `loop` over the horizon, with its worst mode."""
+
     c_obs: float
     rho: float
     worst_mode: SpectralField
     min_eig: float
     horizon: float
+    loop: LinearClosedLoop
 
 
 def observability_constant(
@@ -435,6 +434,7 @@ def observability_constant(
         worst_mode=worst,
         min_eig=lam_min,
         horizon=horizon,
+        loop=loop,
     )
 
 
@@ -442,7 +442,11 @@ def observability_constant(
 class RatePrediction:
     gamma_gramian: float
     gamma_abscissa: float
-    c_obs: float
+    report: ObservabilityReport
+
+    @property
+    def c_obs(self) -> float:
+        return self.report.c_obs
 
 
 def decay_rate_predict(
@@ -452,13 +456,13 @@ def decay_rate_predict(
 
     The Gramian route converts the per-horizon contraction factor
     rho = 1 - 2/c_obs into a rate -log(rho)/(2T); it never exceeds the
-    abscissa rate (it is the conservative bound).
+    abscissa rate (it is the conservative bound).  Both come from the one
+    closed loop of the returned observability report.
     """
     report = observability_constant(table, profile, horizon, n_modes)
-    loop = build_closed_loop(table, profile, n_modes)
     gamma_gram = -np.log(report.rho) / (2.0 * horizon)
     return RatePrediction(
         gamma_gramian=float(gamma_gram),
-        gamma_abscissa=float(-loop.spectral_abscissa),
-        c_obs=report.c_obs,
+        gamma_abscissa=float(-report.loop.spectral_abscissa),
+        report=report,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -78,17 +79,37 @@ def semigroup_apply(
 
 @dataclass(frozen=True, eq=False)
 class LinearClosedLoop:
-    """Damped linear generator on the 2N mean-zero modes."""
+    """Damped linear generator on the 2N mean-zero modes.
+
+    The loop owns the generator's spectral data: one eigendecomposition of
+    its real form, computed the first time the abscissa or the integrator
+    needs it.
+    """
 
     n_modes: int
     modes: np.ndarray
     generator: np.ndarray
     damping_matrix: np.ndarray
-    spectral_abscissa: float
+
+    @cached_property
+    def real_eig(self) -> tuple:
+        """Eigenvalues and eigenvectors of the generator's real form (`_real_form`).
+
+        The generator maps real fields to real fields, so its real form on
+        R^{2N} has the same spectrum.
+        """
+        try:
+            return np.linalg.eig(_real_form(self.generator, self.n_modes))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise DgbError(f"eigen-solver failed on the closed-loop generator: {exc}") from exc
+
+    @property
+    def spectral_abscissa(self) -> float:
+        return float(self.real_eig[0].real.max())
 
 
 def build_closed_loop(table: SymbolTable, profile: DampingProfile, n_modes: int) -> LinearClosedLoop:
-    """Assemble A = diag(i lam(k)) - B on mean-zero modes and its abscissa.
+    """Assemble A = diag(i lam(k)) - B on the mean-zero modes.
 
     B is the Galerkin matrix of the damping feedback: Hermitian positive
     semidefinite, so A generates a contraction semigroup on the truncation.
@@ -98,17 +119,7 @@ def build_closed_loop(table: SymbolTable, profile: DampingProfile, n_modes: int)
     modes = np.concatenate([np.arange(-n_modes, 0), np.arange(1, n_modes + 1)])
     b = feedback_matrix(profile, modes)
     a = np.diag(1j * table.eig(modes)) - b
-    try:
-        eigs = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise DgbError(f"eigen-solver failed on the closed-loop generator: {exc}") from exc
-    return LinearClosedLoop(
-        n_modes=n_modes,
-        modes=modes,
-        generator=a,
-        damping_matrix=b,
-        spectral_abscissa=float(eigs.real.max()),
-    )
+    return LinearClosedLoop(n_modes=n_modes, modes=modes, generator=a, damping_matrix=b)
 
 
 def field_to_state(v: SpectralField, n_modes: int) -> np.ndarray:
@@ -238,16 +249,19 @@ class Etdrk4Integrator:
 
     Linear part, treated exactly: the damped generator diag(i lam(k)) - B of
     `build_closed_loop`, whose phi-functions (Cox-Matthews) are formed from
-    one eigendecomposition of its real form.  For profile=None (the undamped
-    equation) or the constant gain the generator is diagonal, i lam(k) - d(k),
-    and the phi-functions act modewise.  Explicit part: the dealiased
-    transport term and optional forcing.
+    the loop's eigendecomposition of its real form, eigenvalues scaled by dt.
+    For profile=None (the undamped equation) or the constant gain the
+    generator is diagonal, i lam(k) - d(k), and the phi-functions act
+    modewise.  Explicit part: the dealiased transport term and optional
+    forcing.
 
     The stepper works on the coefficients k = 0..N; the negative modes are
     their conjugates, so every step returns a real field, and the mean k = 0
     is carried through unchanged.  An ill-conditioned eigenbasis raises
     ProfileError.  `generator` is the closed-loop generator on the mean-zero
     modes when the feedback couples modes, and None when it is diagonal.
+    `spectral_abscissa` is the abscissa of the stepped generator: the
+    loop's, or max(-d(k)) over k = 1..N when it is diagonal.
     """
 
     def __init__(
@@ -270,8 +284,11 @@ class Etdrk4Integrator:
         self._ik = 1j * ks
 
         if profile is not None and profile.k_modes > 0:
-            self.generator = build_closed_loop(table, profile, n_modes).generator
-            eigs, vecs = np.linalg.eig(dt * _real_form(self.generator, n_modes))
+            loop = build_closed_loop(table, profile, n_modes)
+            self.generator = loop.generator
+            self.spectral_abscissa = loop.spectral_abscissa
+            eigs, vecs = loop.real_eig
+            eigs = dt * eigs
             cond = np.linalg.cond(vecs)
             if not cond <= _MAX_EIGVEC_COND:
                 raise ProfileError(
@@ -298,6 +315,7 @@ class Etdrk4Integrator:
             e_full, e_half = np.exp(z), np.exp(z / 2.0)
             phis = [dt * w for w in _etdrk4_weights(z)]
             self.generator = None
+            self.spectral_abscissa = float(-d[1:].min(initial=np.inf))
             self._apply = np.multiply
         self._e_full, self._e_half = e_full, e_half
         self._q, self._f1, self._f2, self._f3 = phis
@@ -367,7 +385,8 @@ def simulate(
 
     When energy_tol is given, the run is repeated with halved dt until the
     worst energy-identity residual is below tolerance.  Divergence raises,
-    carrying the last valid time.
+    carrying the last valid time.  `run_meta` gains the effective dt, the
+    step count and the spectral abscissa of the generator that was stepped.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -408,7 +427,15 @@ def _run_once(table, profile, v0, t_final, dt, forcing, record_every, run_meta) 
             states.append(SpectralField(n, coeffs.copy()))
 
     meta = dict(run_meta or {})
-    meta.update({"dt": dt_eff, "n_steps": n_steps, "n_modes": n, "record_every": record_every})
+    meta.update(
+        {
+            "dt": dt_eff,
+            "n_steps": n_steps,
+            "n_modes": n,
+            "record_every": record_every,
+            "spectral_abscissa": stepper.spectral_abscissa,
+        }
+    )
     record = TrajectoryRecord(
         times=np.array(times),
         states=tuple(states),

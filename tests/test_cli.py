@@ -1,11 +1,16 @@
 """Tests for config parsing, experiment dispatch, and stable emission."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from dgblab.cli import main, parse_config, run
+from dgblab.damping import make_profile_bump
+from dgblab.dynamics import build_closed_loop
 from dgblab.errors import ConfigError
+from dgblab.symbols import BENJAMIN, build_symbols
 
 BENJAMIN_CFG = """
 # canonical parameter set
@@ -103,6 +108,18 @@ class TestRun:
         assert (tmp_path / "stab" / "trajectory.csv").exists()
         assert (tmp_path / "stab" / "profile.json").exists()
 
+    def test_stabilize_abscissa_is_the_stepped_loops(self, tmp_path):
+        # the run's drift comes from init.mean, which differs from params.mu here
+        cfg = parse_config(
+            "experiment = stabilize\nprofile.kind = bump\nprofile.modes = 32\n"
+            "grid.n = 8\ninit.mean = 0.3\ntime.t_final = 0.1\n"
+        )
+        run(cfg, out_dir=tmp_path / "stab")
+        summary = json.loads((tmp_path / "stab" / "manifest.json").read_text())["summary"]
+        profile = make_profile_bump(np.pi / 2, 3 * np.pi / 2, 32, 1.0)
+        loop = build_closed_loop(build_symbols(replace(BENJAMIN, mu=0.3), 8), profile, 8)
+        assert summary["spectral_abscissa"] == pytest.approx(loop.spectral_abscissa, rel=1e-8)
+
     def test_determinism_yields_identical_artifacts(self, tmp_path):
         for sub in ("a", "b"):
             run(parse_config(STABILIZE_CFG), out_dir=tmp_path / sub)
@@ -157,6 +174,27 @@ class TestMainEntry:
         )
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            ("simulate", ["init.mode=500"]),
+            ("simulate", ["grid.n=8", "init.mode=0"]),
+            ("control-nonlinear", ["grid.n=8", "control.u0_mode=9"]),
+            ("control-nonlinear", ["grid.n=8", "control.u1_mode=9"]),
+            ("lemmas", ["lemmas.n_max=0"]),
+            ("lemmas", ["lemmas.n_max=1"]),
+            ("lemmas", ["lemmas.floor=0"]),
+        ],
+    )
+    def test_exit_two_on_out_of_range_key(self, tmp_path, capsys, experiment, overrides):
+        args = [experiment, "--out", str(tmp_path / "bad")]
+        for item in overrides:
+            args += ["--override", item]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
 
     def test_exit_three_on_numerical_failure(self, tmp_path, capsys):
         # a 16-mode band cannot represent the half-circle bump nonnegatively

@@ -246,6 +246,11 @@ class TestRatePrediction:
             pred = decay_rate_predict(table, global_profile, horizon, 16)
             assert pred.gamma_gramian == pytest.approx(pred.gamma_abscissa, rel=1e-8)
 
+    def test_prediction_carries_its_observability_report(self, table, bump):
+        pred = decay_rate_predict(table, bump, 1.0, 16)
+        assert pred.report.c_obs == observability_constant(table, bump, 1.0, 16).c_obs
+        assert pred.gamma_abscissa == -pred.report.loop.spectral_abscissa
+
     def test_gramian_route_conservative(self, table, bump, global_profile):
         for profile in (bump, global_profile):
             pred = decay_rate_predict(table, profile, 1.0, 16)

@@ -95,6 +95,14 @@ class TestClosedLoop:
             loop = build_closed_loop(table, profile, 24)
             assert loop.spectral_abscissa < 0.0
 
+    @pytest.mark.parametrize("n", [8, 16, 24, 32])
+    @pytest.mark.parametrize("kind", ["bump", "global"])
+    def test_abscissa_matches_complex_spectrum(self, table, bump, global_profile, kind, n):
+        # the abscissa comes from the real form; the complex generator has the same spectrum
+        loop = build_closed_loop(table, bump if kind == "bump" else global_profile, n)
+        expected = np.linalg.eigvals(loop.generator).real.max()
+        assert loop.spectral_abscissa == pytest.approx(expected, rel=1e-8)
+
     def test_propagate_identity_at_zero(self, table, bump):
         loop = build_closed_loop(table, bump, 16)
         rng = np.random.default_rng(2)
@@ -256,6 +264,13 @@ class TestIntegrator:
         rec = simulate(table, bump, v.with_cutoff(16), 0.5, 1e-3)
         lin = linear_propagate(loop, v, 0.5)
         assert l2_norm(rec.states[-1] - lin) < 1e-8 * l2_norm(v)
+
+    @pytest.mark.parametrize("kind", ["bump", "global"])
+    def test_run_records_stepped_abscissa(self, table, bump, global_profile, kind):
+        profile = bump if kind == "bump" else global_profile
+        rec = simulate(table, profile, cosine_field(16, 1, 1e-3), 0.01, 1e-3)
+        expected = build_closed_loop(table, profile, 16).spectral_abscissa
+        assert rec.run_meta["spectral_abscissa"] == pytest.approx(expected, rel=1e-12)
 
     def test_blow_up_detected(self, table):
         from dgblab.errors import BlowUpError
