@@ -2,10 +2,12 @@
 
 Two steering routes are kept deliberately separate so each can certify the
 other: a minimum-norm Gramian construction on the damped closed loop, and
-per-mode closed forms available when the gain is constant.  The nonlinear
-steering for the constant gain rides on an exactly controlled linear
-trajectory whose transport term is re-injected through the gain, and is
-certified by re-simulating the forced nonlinear system.
+per-mode closed forms available when the gain is constant.  The Gramian
+route is synthesized through Pade matrix exponentials and certified by a
+closed form of the controlled flow in the generator's eigenbasis.  The
+nonlinear steering for the constant gain rides on an exactly controlled
+linear trajectory whose transport term is re-injected through the gain, and
+is certified by re-simulating the forced nonlinear system.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
 
 from .damping import DampingProfile, gain_matrix
 from .dynamics import (
+    _MAX_EIGVEC_COND,
     LinearClosedLoop,
     build_closed_loop,
     field_to_state,
@@ -30,6 +32,7 @@ from .errors import (
     DegenerateGramianError,
     IllPosedHorizonError,
     ObservabilityFailureError,
+    ProfileError,
     UncontrollableTruncationError,
 )
 from .spectral import (
@@ -65,7 +68,7 @@ class ControlProblem:
 
 @dataclass(eq=False)
 class ControlSolution:
-    """A synthesized control with its re-simulation certificate."""
+    """A synthesized control with its certified terminal error."""
 
     times: np.ndarray
     fields: tuple
@@ -154,12 +157,13 @@ def gauss_nodes(horizon: float, n: int):
 def _propagated_gramian(a_mat, factor, horizon):
     """int_0^T (e^{tA} F) (e^{tA} F)^H dt through one block matrix exponential.
 
-    Exponentiating [[A, F F^H], [0, -A^H]] * T puts
-    int_0^T e^{(T-s)A} F F^H e^{-s A^H} ds in the top-right corner; a final
-    multiplication by e^{T A^H} (the adjoint of the top-left block) yields
-    the Gramian.  Exact up to expm accuracy, with no resolution limit from
-    the dispersive oscillation; the plain quadrature alternative needs node
-    counts proportional to |lam|_max * T.
+    Exponentiating [[A, F F^H], [0, -A^H]] * T puts e^{TA} in the top-left
+    corner and int_0^T e^{(T-s)A} F F^H e^{-s A^H} ds in the top-right; a
+    final multiplication by e^{T A^H} (the adjoint of the top-left block)
+    yields the Gramian.  Exact up to expm accuracy, with no resolution limit
+    from the dispersive oscillation; the plain quadrature alternative needs
+    node counts proportional to |lam|_max * T.  Returns the Gramian and the
+    flow e^{TA}.
     """
     dim = a_mat.shape[0]
     q = factor @ factor.conj().T
@@ -168,55 +172,55 @@ def _propagated_gramian(a_mat, factor, horizon):
     block[:dim, dim:] = q
     block[dim:, dim:] = -a_mat.conj().T
     e_block = scipy.linalg.expm(horizon * block)
-    gram = e_block[:dim, dim:] @ e_block[:dim, :dim].conj().T
-    return 0.5 * (gram + gram.conj().T)
+    flow = e_block[:dim, :dim]
+    gram = e_block[:dim, dim:] @ flow.conj().T
+    return 0.5 * (gram + gram.conj().T), flow
 
 
-def _certify_linear(a_mat, b_mat, xi, v0_state, horizon, rtol=1e-11):
-    """Re-simulate the controlled linear system with an explicit RK method.
+def _certify_linear(a_mat, b_mat, xi, v0_state, horizon):
+    """Terminal state of the controlled linear system, in closed form in A's eigenbasis.
 
-    Independent of the Gramian/exponential synthesis path: the adjoint state
-    is integrated forward in reversed time, then the state equation is driven
-    through its dense interpolant.
+    With A = V diag(mu) V^{-1} and the control h(t) = B^H e^{(T-t)A^H} xi,
+
+        v(T) = V (e^{T mu} V^{-1} v0 + (Gamma o C C^H) V^H xi),   C = V^{-1} B,
+
+    where Gamma_ij = int_0^T e^{(mu_i + conj(mu_j)) s} ds (Van Loan, IEEE TAC
+    1978).  Independent of the synthesis, which goes through the Pade
+    `expm` of `_propagated_gramian`: this route is one LAPACK eigensolve and
+    entrywise exponentials.  An ill-conditioned eigenbasis, such as that of
+    a defective generator, raises ProfileError.
     """
-    atol = 1e-13 * (1.0 + float(np.abs(xi).max()) + float(np.abs(v0_state).max()))
-    a_h = a_mat.conj().T
+    mu, vecs = np.linalg.eig(a_mat)
+    cond = np.linalg.cond(vecs)
+    if not cond <= _MAX_EIGVEC_COND:
+        raise ProfileError(
+            f"closed-loop eigenbasis too ill-conditioned for the certificate (cond {cond:.3g})"
+        )
+    lu = scipy.linalg.lu_factor(vecs)
+    modal = scipy.linalg.lu_solve(lu, np.column_stack([v0_state, b_mat]))
+    w0, c = modal[:, 0], modal[:, 1:]
+    rate = mu[:, None] + mu.conj()[None, :]
+    tiny = np.abs(rate) * horizon < 1e-8
+    safe = np.where(tiny, 1.0, rate)
+    gamma = np.where(tiny, horizon * (1.0 + 0.5 * rate * horizon), np.expm1(horizon * safe) / safe)
+    inner = np.exp(horizon * mu) * w0 + (gamma * (c @ c.conj().T)) @ (vecs.conj().T @ xi)
+    return vecs @ inner
 
-    sol_q = solve_ivp(
-        lambda t, q: a_h @ q,
-        (0.0, horizon),
-        xi.astype(np.complex128),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-    )
-    if not sol_q.success:  # pragma: no cover
-        raise RuntimeError(f"adjoint certificate integration failed: {sol_q.message}")
 
-    def rhs(t, v):
-        p = sol_q.sol(horizon - t)
-        return a_mat @ v + b_mat @ (b_mat.conj().T @ p)
-
-    sol_v = solve_ivp(
-        rhs,
-        (0.0, horizon),
-        v0_state.astype(np.complex128),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol_v.success:  # pragma: no cover
-        raise RuntimeError(f"certificate integration failed: {sol_v.message}")
-    return sol_v.y[:, -1]
+def _project_real(state: np.ndarray) -> np.ndarray:
+    """Projection onto the states of real fields, c(-k) = conj(c(k)); order -N..-1, 1..N."""
+    return 0.5 * (state + np.conj(state[::-1]))
 
 
 def linear_control_gramian(problem: ControlProblem, n_samples: int = 129) -> ControlSolution:
     """Minimum-norm steering of the damped linear loop through the gain.
 
-    Solves W xi = v1 - W(T) v0 with the controllability Gramian
+    Solves W xi = v1 - e^{TA} v0 with the controllability Gramian
     W = int_0^T e^{tA} B B* e^{tA*} dt and applies h(t) = B* e^{(T-t)A*} xi.
-    The terminal error is certified by an independent re-simulation.
+    xi and every sampled control are projected onto the real fields, so the
+    control is real by construction.  The terminal error is certified by an
+    eigenbasis closed form of the controlled flow (`_certify_linear`),
+    independent of the Pade-`expm` synthesis.
     """
     if problem.profile is None:
         raise ValueError("linear control needs a gain profile")
@@ -226,7 +230,7 @@ def linear_control_gramian(problem: ControlProblem, n_samples: int = 129) -> Con
     a_mat = loop.generator
     b_mat = gain_matrix(p.profile, loop.modes, loop.modes)
 
-    gram = _propagated_gramian(a_mat, b_mat, p.horizon)
+    gram, flow = _propagated_gramian(a_mat, b_mat, p.horizon)
     eigs = scipy.linalg.eigvalsh(gram)
     if eigs[0] <= 1e-15 * max(eigs[-1], 1e-300):
         deficient = scipy.linalg.eigh(gram)[1][:, 0]
@@ -237,9 +241,10 @@ def linear_control_gramian(problem: ControlProblem, n_samples: int = 129) -> Con
 
     v0s = field_to_state(p.v0, p.n_modes)
     v1s = field_to_state(p.v1, p.n_modes)
-    defect = v1s - scipy.linalg.expm(p.horizon * a_mat) @ v0s
+    defect = v1s - flow @ v0s
     xi = scipy.linalg.solve(gram, defect, assume_a="her")
     xi += scipy.linalg.solve(gram, defect - gram @ xi, assume_a="her")
+    xi = _project_real(xi)
 
     times = np.linspace(0.0, p.horizon, n_samples)
     step = scipy.linalg.expm((times[1] - times[0]) * a_mat.conj().T)
@@ -249,7 +254,8 @@ def linear_control_gramian(problem: ControlProblem, n_samples: int = 129) -> Con
         adj = step @ adj
         adjoints.append(adj)
     adjoints.reverse()  # adjoints[i] = e^{(T - t_i) A*} xi
-    fields = tuple(state_to_field(b_mat.conj().T @ q, p.n_modes) for q in adjoints)
+    # the adjoint steps regrow rounding-level asymmetry, so each sample is projected too
+    fields = tuple(state_to_field(_project_real(b_mat.conj().T @ q), p.n_modes) for q in adjoints)
 
     v_final = _certify_linear(a_mat, b_mat, xi, v0s, p.horizon)
     err = np.sqrt(TWO_PI) * np.linalg.norm(v_final - v1s) / max(l2_norm(p.v1), 1e-12)
@@ -409,7 +415,7 @@ def observability_constant(
         profile, rows, loop.modes
     )
     # O = int e^{tA*} C^H C e^{tA} dt, i.e. the flow Gramian of the adjoint pair
-    obs = _propagated_gramian(loop.generator.conj().T, c_mat.conj().T, horizon)
+    obs, _ = _propagated_gramian(loop.generator.conj().T, c_mat.conj().T, horizon)
     eigvals, eigvecs = scipy.linalg.eigh(obs)
     lam_min = float(eigvals[0])
     if lam_min <= 0:

@@ -1,11 +1,16 @@
 """Tests for config parsing, experiment dispatch, and stable emission."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgblab
 from dgblab.cli import main, parse_config, run
 from dgblab.damping import make_profile_bump
 from dgblab.dynamics import build_closed_loop
@@ -214,6 +219,27 @@ class TestMainEntry:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_control_linear_bump_stays_real(self, tmp_path, capsys):
+        # at n=24 unprojected rounding asymmetry in the control exceeds the real-field tolerance
+        code = main(
+            [
+                "control-linear",
+                "--seed",
+                "5",
+                "--out",
+                str(tmp_path / "steer"),
+                "--override",
+                "profile.kind=bump",
+                "--override",
+                "grid.n=24",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        manifest = json.loads((tmp_path / "steer" / "manifest.json").read_text())
+        assert manifest["summary"]["terminal_error"] <= 1e-6
+
     def test_config_file_and_seed_flag(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text(STABILIZE_CFG)
@@ -244,3 +270,20 @@ class TestMainEntry:
         assert code == 0
         for stem in ("lemmas_a", "lemmas_b"):
             assert (tmp_path / "sweep" / stem / "manifest.json").exists()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # the CLI's startup cost depends on which scipy subpackages it pulls in
+    env = dict(os.environ)
+    src = str(Path(dgblab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, dgblab.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "False"

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from dgblab.control import (
     ControlProblem,
+    _certify_linear,
     _propagated_gramian,
     biorthogonal_family,
     decay_rate_predict,
@@ -16,9 +18,9 @@ from dgblab.control import (
     nonlinear_control_global,
     observability_constant,
 )
-from dgblab.damping import make_profile_bump, make_profile_global
-from dgblab.dynamics import build_closed_loop, linear_propagate
-from dgblab.errors import DegenerateGramianError, IllPosedHorizonError
+from dgblab.damping import gain_matrix, make_profile_bump, make_profile_global
+from dgblab.dynamics import build_closed_loop, field_to_state, linear_propagate
+from dgblab.errors import DegenerateGramianError, IllPosedHorizonError, ProfileError
 from dgblab.spectral import (
     constant_field,
     cosine_field,
@@ -111,10 +113,8 @@ class TestFlowGramian:
     def test_matches_quadrature_oracle(self, table, bump):
         # moderate band so plain Gauss-Legendre resolves the oscillation
         loop = build_closed_loop(table, bump, 6)
-        from dgblab.damping import gain_matrix
-
         b = gain_matrix(bump, loop.modes, loop.modes)
-        fast = _propagated_gramian(loop.generator, b, 1.0)
+        fast, _ = _propagated_gramian(loop.generator, b, 1.0)
         ts, ws = gauss_nodes(1.0, 768)
         slow = np.zeros_like(fast)
         for t, w in zip(ts, ws):
@@ -167,6 +167,63 @@ class TestLinearControl:
             nus.append(sol.control_norm / (l2_norm(v0) + l2_norm(v1)))
         print(f"empirical steering cost ratios: {nus}")
         assert all(np.isfinite(nus)) and max(nus) < 1e3
+
+
+def _rk_terminal_state(a_mat, b_mat, xi, v0_state, horizon, rtol=1e-11):
+    """Re-simulate the controlled linear system with DOP853 (the RK oracle).
+
+    The adjoint state is integrated forward in reversed time, then the state
+    equation is driven through its dense interpolant.
+    """
+    atol = 1e-13 * (1.0 + float(np.abs(xi).max()) + float(np.abs(v0_state).max()))
+    a_h = a_mat.conj().T
+    sol_q = solve_ivp(
+        lambda t, q: a_h @ q,
+        (0.0, horizon),
+        xi.astype(np.complex128),
+        method="DOP853",
+        rtol=rtol,
+        atol=atol,
+        dense_output=True,
+    )
+    assert sol_q.success, sol_q.message
+
+    def rhs(t, v):
+        p = sol_q.sol(horizon - t)
+        return a_mat @ v + b_mat @ (b_mat.conj().T @ p)
+
+    sol_v = solve_ivp(
+        rhs,
+        (0.0, horizon),
+        v0_state.astype(np.complex128),
+        method="DOP853",
+        rtol=rtol,
+        atol=atol,
+    )
+    assert sol_v.success, sol_v.message
+    return sol_v.y[:, -1]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("kind", ["bump", "global"])
+    def test_closed_form_matches_rk_oracle(self, kind, bump, global_profile):
+        profile = bump if kind == "bump" else global_profile
+        n = 8
+        loop = build_closed_loop(build_symbols(BENJAMIN, n), profile, n)
+        b = gain_matrix(profile, loop.modes, loop.modes)
+        rng = np.random.default_rng(4)
+        # adjoint data of the size a steering solve produces
+        xi = 100.0 * field_to_state(random_field(n, rng, decay=1.5), n)
+        v0 = field_to_state(random_field(n, rng, decay=1.5), n)
+        fast = _certify_linear(loop.generator, b, xi, v0, 1.0)
+        slow = _rk_terminal_state(loop.generator, b, xi, v0, 1.0)
+        assert np.linalg.norm(fast - slow) <= 1e-8 * np.linalg.norm(slow)
+
+    def test_defective_generator_rejected(self):
+        a_mat = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+        b_mat = np.eye(2, dtype=np.complex128)
+        with pytest.raises(ProfileError):
+            _certify_linear(a_mat, b_mat, np.ones(2, complex), np.ones(2, complex), 1.0)
 
 
 class TestNonlinearControl:
