@@ -32,15 +32,7 @@ from .control import (
 )
 from .damping import DampingProfile, make_profile_bump, make_profile_global
 from .dynamics import decay_fit, simulate_damped
-from .errors import (
-    BlowUpError,
-    ConfigError,
-    DegenerateGramianError,
-    IllPosedHorizonError,
-    ObservabilityFailureError,
-    ProfileError,
-    UncontrollableTruncationError,
-)
+from .errors import ConfigError, DgbError
 from .spectral import SpectralField, constant_field, cosine_field, random_field
 from .symbols import (
     ModelParams,
@@ -58,16 +50,6 @@ EXPERIMENTS = (
     "control-nonlinear",
     "observability",
     "lemmas",
-)
-
-_NUMERICAL_ERRORS = (
-    BlowUpError,
-    DegenerateGramianError,
-    IllPosedHorizonError,
-    UncontrollableTruncationError,
-    ObservabilityFailureError,
-    ProfileError,
-    np.linalg.LinAlgError,
 )
 
 # key -> (type, default); defaults of None mean "derived later"
@@ -139,16 +121,35 @@ class RunConfig:
             raise ConfigError("lemmas.n_max must be at least 2")
         if self["lemmas.floor"] < 1:
             raise ConfigError("lemmas.floor must be at least 1")
-        if self["time.dt"] <= 0:
-            raise ConfigError("time.dt must be positive")
         if self["time.t_final"] <= 0:
             raise ConfigError("time.t_final must be positive")
+        for key in ("time.dt", "control.dt"):
+            # the integrators round the step count time.t_final / dt
+            if not (self[key] > 0 and np.isfinite(self["time.t_final"] / self[key])):
+                raise ConfigError(f"{key} must be positive, with a finite time.t_final / {key}")
+        if self["lemmas.tol"] < 0:
+            raise ConfigError("lemmas.tol must be nonnegative")
         if self["profile.kind"] not in ("global", "bump"):
             raise ConfigError("profile.kind must be 'global' or 'bump'")
+        if self["profile.kind"] == "bump" and not (
+            0 <= self["profile.a"] < self["profile.b"] <= 2 * np.pi and self["profile.modes"] >= 1
+        ):
+            raise ConfigError("a bump needs 0 <= profile.a < profile.b <= 2 pi and profile.modes >= 1")
         if self["init.kind"] not in ("cosine", "random"):
             raise ConfigError("init.kind must be 'cosine' or 'random'")
         if self["record.every"] < 1:
             raise ConfigError("record.every must be at least 1")
+        if self.experiment == "stabilize":
+            t0, t1 = self.fit_window()
+            if not 0 <= t0 < t1 <= self["time.t_final"]:
+                raise ConfigError("the fit window needs 0 <= fit.t0 < fit.t1 <= time.t_final")
+
+    def fit_window(self) -> tuple:
+        """(fit.t0, fit.t1), defaulting to the second half of the run."""
+        t_final = self["time.t_final"]
+        t0 = self["fit.t0"] if self["fit.t0"] is not None else t_final / 2.0
+        t1 = self["fit.t1"] if self["fit.t1"] is not None else t_final
+        return t0, t1
 
     def __getitem__(self, key: str):
         if key in self.raw:
@@ -170,7 +171,10 @@ def _parse_value(key: str, text: str):
         if typ is int:
             return int(text)
         if typ is float:
-            return float(text)
+            value = float(text)
+            if not np.isfinite(value):
+                raise ConfigError(f"key '{key}': {text} is not a finite number")
+            return value
         return text
     except ValueError as exc:
         raise ConfigError(f"key '{key}': cannot parse '{text}' as {typ.__name__}") from exc
@@ -341,9 +345,9 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
 
 def _run_stabilize(cfg: RunConfig, out_dir: Path) -> dict:
     summary, record = _damped_run(cfg, out_dir)
-    t_final = cfg["time.t_final"]
-    t0 = cfg["fit.t0"] if cfg["fit.t0"] is not None else t_final / 2.0
-    t1 = cfg["fit.t1"] if cfg["fit.t1"] is not None else t_final
+    t0, t1 = cfg.fit_window()
+    if np.count_nonzero((record.times >= t0) & (record.times <= t1)) < 2:
+        raise ConfigError("the fit window holds fewer than two recorded samples; widen it")
     fit = decay_fit(record, (t0, t1))
     # the stepped loop's drift comes from the initial mean, not params.mu
     abscissa = record.run_meta["spectral_abscissa"]
@@ -538,7 +542,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except (DgbError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

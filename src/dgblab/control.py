@@ -3,9 +3,10 @@
 Two steering routes are kept deliberately separate so each can certify the
 other: a minimum-norm Gramian construction on the damped closed loop, and
 per-mode closed forms available when the gain is constant.  The Gramian
-route is synthesized through Pade matrix exponentials and certified by a
-closed form of the controlled flow in the generator's eigenbasis.  The
-nonlinear steering for the constant gain rides on an exactly controlled
+route runs in the closed loop's real form, so its controls are real fields
+with no projection; it is synthesized through a Pade block exponential and
+certified by a closed form of the controlled flow in the loop's eigenbasis.
+The nonlinear steering for the constant gain rides on an exactly controlled
 linear trajectory whose transport term is re-injected through the gain, and
 is certified by re-simulating the forced nonlinear system.
 """
@@ -21,8 +22,10 @@ from numpy.polynomial.legendre import leggauss
 
 from .damping import DampingProfile, gain_matrix
 from .dynamics import (
-    _MAX_EIGVEC_COND,
     LinearClosedLoop,
+    _real_coords,
+    _real_field,
+    _real_form,
     build_closed_loop,
     field_to_state,
     simulate,
@@ -32,7 +35,6 @@ from .errors import (
     DegenerateGramianError,
     IllPosedHorizonError,
     ObservabilityFailureError,
-    ProfileError,
     UncontrollableTruncationError,
 )
 from .spectral import (
@@ -118,13 +120,15 @@ class BiorthogonalFamily:
         return np.conj(self.coeffs) @ gamma
 
 
+def _exp_integral(rate: np.ndarray, horizon: float) -> np.ndarray:
+    """int_0^T e^{r s} ds entrywise: expm1(r T) / r, or T (1 + r T / 2) where |r| T < 1e-8."""
+    tiny = np.abs(rate) * horizon < 1e-8
+    safe = np.where(tiny, 1.0, rate)
+    return np.where(tiny, horizon * (1.0 + 0.5 * rate * horizon), np.expm1(horizon * safe) / safe)
+
+
 def _gamma_from_eigs(lam: np.ndarray, horizon: float) -> np.ndarray:
-    diff = lam[:, None] - lam[None, :]
-    gamma = np.empty(diff.shape, dtype=np.complex128)
-    off = ~np.eye(lam.size, dtype=bool)
-    gamma[off] = (np.exp(1j * diff[off] * horizon) - 1.0) / (1j * diff[off])
-    np.fill_diagonal(gamma, horizon)
-    return gamma
+    return _exp_integral(1j * (lam[:, None] - lam[None, :]), horizon)
 
 
 def biorthogonal_family(
@@ -154,20 +158,19 @@ def gauss_nodes(horizon: float, n: int):
     return 0.5 * horizon * (x + 1.0), 0.5 * horizon * w
 
 
-def _propagated_gramian(a_mat, factor, horizon):
-    """int_0^T (e^{tA} F) (e^{tA} F)^H dt through one block matrix exponential.
+def _propagated_gramian(a_mat, q, horizon):
+    """int_0^T e^{tA} Q e^{tA^H} dt through one block matrix exponential.
 
-    Exponentiating [[A, F F^H], [0, -A^H]] * T puts e^{TA} in the top-left
-    corner and int_0^T e^{(T-s)A} F F^H e^{-s A^H} ds in the top-right; a
+    Exponentiating [[A, Q], [0, -A^H]] * T puts e^{TA} in the top-left
+    corner and int_0^T e^{(T-s)A} Q e^{-s A^H} ds in the top-right; a
     final multiplication by e^{T A^H} (the adjoint of the top-left block)
     yields the Gramian.  Exact up to expm accuracy, with no resolution limit
     from the dispersive oscillation; the plain quadrature alternative needs
-    node counts proportional to |lam|_max * T.  Returns the Gramian and the
-    flow e^{TA}.
+    node counts proportional to |lam|_max * T.  Real A and Q stay real.
+    Returns the Gramian and the flow e^{TA}.
     """
     dim = a_mat.shape[0]
-    q = factor @ factor.conj().T
-    block = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
+    block = np.zeros((2 * dim, 2 * dim), dtype=np.result_type(a_mat, q))
     block[:dim, :dim] = a_mat
     block[:dim, dim:] = q
     block[dim:, dim:] = -a_mat.conj().T
@@ -177,88 +180,67 @@ def _propagated_gramian(a_mat, factor, horizon):
     return 0.5 * (gram + gram.conj().T), flow
 
 
-def _certify_linear(a_mat, b_mat, xi, v0_state, horizon):
-    """Terminal state of the controlled linear system, in closed form in A's eigenbasis.
+def _certify_linear(eigenbasis, b_mat, xi, v0_state, horizon):
+    """Terminal state of the real controlled linear system, in closed form in A's eigenbasis.
 
-    With A = V diag(mu) V^{-1} and the control h(t) = B^H e^{(T-t)A^H} xi,
+    With the real A = V diag(mu) V^{-1} and the control h(t) = B^T e^{(T-t)A^T} xi,
 
-        v(T) = V (e^{T mu} V^{-1} v0 + (Gamma o C C^H) V^H xi),   C = V^{-1} B,
+        v(T) = V (e^{T mu} V^{-1} v0 + (Gamma o C C^T) V^T xi),   C = V^{-1} B,
 
-    where Gamma_ij = int_0^T e^{(mu_i + conj(mu_j)) s} ds (Van Loan, IEEE TAC
-    1978).  Independent of the synthesis, which goes through the Pade
-    `expm` of `_propagated_gramian`: this route is one LAPACK eigensolve and
-    entrywise exponentials.  An ill-conditioned eigenbasis, such as that of
-    a defective generator, raises ProfileError.
+    where Gamma_ij = int_0^T e^{(mu_i + mu_j) s} ds (Van Loan, IEEE TAC 1978).
+    Independent of the synthesis, which goes through the Pade `expm` of
+    `_propagated_gramian`: this route is the loop's LAPACK eigenbasis and
+    entrywise exponentials.
     """
-    mu, vecs = np.linalg.eig(a_mat)
-    cond = np.linalg.cond(vecs)
-    if not cond <= _MAX_EIGVEC_COND:
-        raise ProfileError(
-            f"closed-loop eigenbasis too ill-conditioned for the certificate (cond {cond:.3g})"
-        )
-    lu = scipy.linalg.lu_factor(vecs)
-    modal = scipy.linalg.lu_solve(lu, np.column_stack([v0_state, b_mat]))
-    w0, c = modal[:, 0], modal[:, 1:]
-    rate = mu[:, None] + mu.conj()[None, :]
-    tiny = np.abs(rate) * horizon < 1e-8
-    safe = np.where(tiny, 1.0, rate)
-    gamma = np.where(tiny, horizon * (1.0 + 0.5 * rate * horizon), np.expm1(horizon * safe) / safe)
-    inner = np.exp(horizon * mu) * w0 + (gamma * (c @ c.conj().T)) @ (vecs.conj().T @ xi)
-    return vecs @ inner
-
-
-def _project_real(state: np.ndarray) -> np.ndarray:
-    """Projection onto the states of real fields, c(-k) = conj(c(k)); order -N..-1, 1..N."""
-    return 0.5 * (state + np.conj(state[::-1]))
+    mu, vecs, inv = eigenbasis
+    c = inv @ b_mat
+    gamma = _exp_integral(mu[:, None] + mu[None, :], horizon)
+    inner = np.exp(horizon * mu) * (inv @ v0_state) + (gamma * (c @ c.T)) @ (vecs.T @ xi)
+    return (vecs @ inner).real
 
 
 def linear_control_gramian(problem: ControlProblem, n_samples: int = 129) -> ControlSolution:
     """Minimum-norm steering of the damped linear loop through the gain.
 
-    Solves W xi = v1 - e^{TA} v0 with the controllability Gramian
-    W = int_0^T e^{tA} B B* e^{tA*} dt and applies h(t) = B* e^{(T-t)A*} xi.
-    xi and every sampled control are projected onto the real fields, so the
-    control is real by construction.  The terminal error is certified by an
-    eigenbasis closed form of the controlled flow (`_certify_linear`),
+    In the loop's real form, where A and B are real 2N x 2N matrices, solves
+    W xi = v1 - e^{TA} v0 with W = int_0^T e^{tA} B B^T e^{tA^T} dt and applies
+    h(t) = B^T e^{(T-t)A^T} xi, sampled in the loop's eigenbasis: a real field
+    by construction, with no projection.  The terminal error is certified by
+    an eigenbasis closed form of the controlled flow (`_certify_linear`),
     independent of the Pade-`expm` synthesis.
     """
     if problem.profile is None:
         raise ValueError("linear control needs a gain profile")
     p = problem
     table = build_symbols(p.params, p.n_modes)
-    loop = build_closed_loop(table, p.profile, p.n_modes)
-    a_mat = loop.generator
-    b_mat = gain_matrix(p.profile, loop.modes, loop.modes)
+    n = p.n_modes
+    loop = build_closed_loop(table, p.profile, n)
+    b_mat = _real_form(gain_matrix(p.profile, loop.modes, loop.modes), n)
 
-    gram, flow = _propagated_gramian(a_mat, b_mat, p.horizon)
+    gram, flow = _propagated_gramian(loop.real_generator, b_mat @ b_mat.T, p.horizon)
     eigs = scipy.linalg.eigvalsh(gram)
     if eigs[0] <= 1e-15 * max(eigs[-1], 1e-300):
         deficient = scipy.linalg.eigh(gram)[1][:, 0]
         raise UncontrollableTruncationError(
             f"Gramian numerically singular (min eig {eigs[0]:.3e}); "
-            f"deficient direction peaked at mode {loop.modes[int(np.argmax(np.abs(deficient)))]}"
+            f"deficient direction peaked at mode {int(np.argmax(np.abs(deficient))) // 2 + 1}"
         )
 
-    v0s = field_to_state(p.v0, p.n_modes)
-    v1s = field_to_state(p.v1, p.n_modes)
-    defect = v1s - flow @ v0s
-    xi = scipy.linalg.solve(gram, defect, assume_a="her")
-    xi += scipy.linalg.solve(gram, defect - gram @ xi, assume_a="her")
-    xi = _project_real(xi)
+    v0r = _real_coords(p.v0, n)
+    v1r = _real_coords(p.v1, n)
+    defect = v1r - flow @ v0r
+    xi = scipy.linalg.solve(gram, defect, assume_a="sym")
+    xi += scipy.linalg.solve(gram, defect - gram @ xi, assume_a="sym")
 
     times = np.linspace(0.0, p.horizon, n_samples)
-    step = scipy.linalg.expm((times[1] - times[0]) * a_mat.conj().T)
-    adj = xi.copy()
-    adjoints = [adj]
-    for _ in range(n_samples - 1):
-        adj = step @ adj
-        adjoints.append(adj)
-    adjoints.reverse()  # adjoints[i] = e^{(T - t_i) A*} xi
-    # the adjoint steps regrow rounding-level asymmetry, so each sample is projected too
-    fields = tuple(state_to_field(_project_real(b_mat.conj().T @ q), p.n_modes) for q in adjoints)
+    mu, vecs, inv = loop.eigenbasis
+    # row i: e^{(T - t_i) A^T} xi = V^{-T} (e^{(T - t_i) mu} o V^T xi), then B^T
+    modal = np.exp(np.outer(p.horizon - times, mu)) * (vecs.T @ xi)
+    samples = (modal @ (inv @ b_mat)).real
+    fields = tuple(_real_field(h, n) for h in samples)
 
-    v_final = _certify_linear(a_mat, b_mat, xi, v0s, p.horizon)
-    err = np.sqrt(TWO_PI) * np.linalg.norm(v_final - v1s) / max(l2_norm(p.v1), 1e-12)
+    v_final = _certify_linear(loop.eigenbasis, b_mat, xi, v0r, p.horizon)
+    err = l2_norm(_real_field(v_final - v1r, n)) / max(l2_norm(p.v1), 1e-12)
     norm = _control_norm(times, fields, p.s)
     return ControlSolution(
         times=times,
@@ -406,7 +388,8 @@ def observability_constant(
     Builds O = int_0^T W(t)* (D^{delta/2} G)* (D^{delta/2} G) W(t) dt on the
     mean-zero truncation and returns c_obs = 1 / min-eigenvalue, normalized
     so that ||v0||^2 <= c_obs * observed energy.  Energy balance forces
-    c_obs > 2; the minimizing state is returned as a real field.
+    c_obs > 2.  Built in the loop's real form, so the minimizing state is a
+    real field by construction.
     """
     loop = build_closed_loop(table, profile, n_modes)
     band = n_modes + profile.k_modes
@@ -414,8 +397,9 @@ def observability_constant(
     c_mat = np.abs(rows).astype(np.float64)[:, None] ** (0.5 * profile.delta) * gain_matrix(
         profile, rows, loop.modes
     )
-    # O = int e^{tA*} C^H C e^{tA} dt, i.e. the flow Gramian of the adjoint pair
-    obs, _ = _propagated_gramian(loop.generator.conj().T, c_mat.conj().T, horizon)
+    # O = int e^{tA^T} C^T C e^{tA} dt in the real form: the flow Gramian of the adjoint pair
+    q = _real_form(c_mat.conj().T @ c_mat, n_modes)
+    obs, _ = _propagated_gramian(loop.real_generator.T, q, horizon)
     eigvals, eigvecs = scipy.linalg.eigh(obs)
     lam_min = float(eigvals[0])
     if lam_min <= 0:
@@ -424,16 +408,8 @@ def observability_constant(
     if c_obs <= 2.0:  # pragma: no cover
         raise ObservabilityFailureError("observed energy exceeded the total energy budget")
 
-    state = eigvecs[:, 0]
-    coeffs = np.zeros(2 * n_modes + 1, dtype=np.complex128)
-    coeffs[:n_modes] = state[:n_modes]
-    coeffs[n_modes + 1 :] = state[n_modes:]
-    flipped = np.conj(coeffs[::-1])
-    sym = coeffs + flipped
-    if np.linalg.norm(sym) < 1e-8 * np.linalg.norm(coeffs):
-        sym = 1j * (coeffs - flipped)
-    sym /= np.sqrt(TWO_PI) * np.linalg.norm(sym)
-    worst = SpectralField(n_modes, sym)
+    # a unit real vector is a field of squared L^2 norm 2 * 2 pi
+    worst = _real_field(eigvecs[:, 0] / np.sqrt(2.0 * TWO_PI), n_modes)
     return ObservabilityReport(
         c_obs=c_obs,
         rho=1.0 - 2.0 / c_obs,

@@ -81,9 +81,9 @@ def semigroup_apply(
 class LinearClosedLoop:
     """Damped linear generator on the 2N mean-zero modes.
 
-    The loop owns the generator's spectral data: one eigendecomposition of
-    its real form, computed the first time the abscissa or the integrator
-    needs it.
+    The loop owns the generator's real form and its one eigenbasis, computed
+    the first time the abscissa, the integrator, the steering controls or
+    the steering certificate need it.
     """
 
     n_modes: int
@@ -92,20 +92,18 @@ class LinearClosedLoop:
     damping_matrix: np.ndarray
 
     @cached_property
-    def real_eig(self) -> tuple:
-        """Eigenvalues and eigenvectors of the generator's real form (`_real_form`).
+    def real_generator(self) -> np.ndarray:
+        """The generator's real form (`_real_form`), with the same spectrum."""
+        return _real_form(self.generator, self.n_modes)
 
-        The generator maps real fields to real fields, so its real form on
-        R^{2N} has the same spectrum.
-        """
-        try:
-            return np.linalg.eig(_real_form(self.generator, self.n_modes))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise DgbError(f"eigen-solver failed on the closed-loop generator: {exc}") from exc
+    @cached_property
+    def eigenbasis(self) -> tuple:
+        """(mu, V, V^{-1}) of the real form, from `_eigenbasis`."""
+        return _eigenbasis(self.real_generator)
 
     @property
     def spectral_abscissa(self) -> float:
-        return float(self.real_eig[0].real.max())
+        return float(self.eigenbasis[0].real.max())
 
 
 def build_closed_loop(table: SymbolTable, profile: DampingProfile, n_modes: int) -> LinearClosedLoop:
@@ -122,6 +120,18 @@ def build_closed_loop(table: SymbolTable, profile: DampingProfile, n_modes: int)
     return LinearClosedLoop(n_modes=n_modes, modes=modes, generator=a, damping_matrix=b)
 
 
+def _eigenbasis(mat: np.ndarray) -> tuple:
+    """(mu, V, V^{-1}) with mat = V diag(mu) V^{-1}.
+
+    An ill-conditioned V, such as that of a defective matrix, raises ProfileError.
+    """
+    mu, vecs = np.linalg.eig(mat)
+    cond = np.linalg.cond(vecs)
+    if not cond <= _MAX_EIGVEC_COND:
+        raise ProfileError(f"closed-loop eigenbasis too ill-conditioned (cond {cond:.3g})")
+    return mu, vecs, np.linalg.inv(vecs)
+
+
 def field_to_state(v: SpectralField, n_modes: int) -> np.ndarray:
     c = v.with_cutoff(n_modes).coeffs
     return np.concatenate([c[:n_modes], c[n_modes + 1 :]])
@@ -133,6 +143,17 @@ def state_to_field(state: np.ndarray, n_modes: int, mean_value: float = 0.0) -> 
     c[n_modes] = mean_value
     c[n_modes + 1 :] = state[n_modes:]
     return SpectralField(n_modes, c)
+
+
+def _real_coords(v: SpectralField, n_modes: int) -> np.ndarray:
+    """Interleaved (Re, Im) of the modes 1..N: the coordinates `_real_form` acts on."""
+    return v.with_cutoff(n_modes).coeffs[n_modes + 1 :].view(np.float64)
+
+
+def _real_field(x: np.ndarray, n_modes: int) -> SpectralField:
+    """The mean-zero real field whose modes 1..N have interleaved (Re, Im) x."""
+    pos = x[0::2] + 1j * x[1::2]
+    return SpectralField(n_modes, np.concatenate([np.conj(pos[::-1]), [0.0], pos]))
 
 
 def linear_propagate(loop: LinearClosedLoop, v0: SpectralField, t: float) -> SpectralField:
@@ -210,9 +231,9 @@ def _etdrk4_weights(z: np.ndarray, contour_points: int = 64) -> tuple:
     return tuple(out)
 
 
-# eigenvector conditioning above which the matrix phi-functions would lose
-# more than six digits to the eigenbasis change; closed loops of the
-# package's profiles and parameter ranges measure below 20
+# eigenvector conditioning above which a change to the eigenbasis would lose
+# more than six digits; closed loops of the package's profiles and
+# parameter ranges measure below 20
 _MAX_EIGVEC_COND = 1e6
 
 
@@ -249,7 +270,7 @@ class Etdrk4Integrator:
 
     Linear part, treated exactly: the damped generator diag(i lam(k)) - B of
     `build_closed_loop`, whose phi-functions (Cox-Matthews) are formed from
-    the loop's eigendecomposition of its real form, eigenvalues scaled by dt.
+    the loop's eigenbasis of its real form, eigenvalues scaled by dt.
     For profile=None (the undamped equation) or the constant gain the
     generator is diagonal, i lam(k) - d(k), and the phi-functions act
     modewise.  Explicit part: the dealiased transport term and optional
@@ -287,14 +308,8 @@ class Etdrk4Integrator:
             loop = build_closed_loop(table, profile, n_modes)
             self.generator = loop.generator
             self.spectral_abscissa = loop.spectral_abscissa
-            eigs, vecs = loop.real_eig
+            eigs, vecs, inv = loop.eigenbasis
             eigs = dt * eigs
-            cond = np.linalg.cond(vecs)
-            if not cond <= _MAX_EIGVEC_COND:
-                raise ProfileError(
-                    f"closed-loop eigenbasis too ill-conditioned for the integrator (cond {cond:.3g})"
-                )
-            inv = np.linalg.inv(vecs)
             size = 2 * n_modes + 2
 
             def to_matrix(w, mean_entry=0.0):

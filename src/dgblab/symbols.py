@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MultiplicityBoundError
+from .errors import DgbError, MultiplicityBoundError
 
 MULTIPLICITY_BOUND = 5
 
@@ -102,7 +102,8 @@ def build_symbols(params: ModelParams, n_modes: int) -> SymbolTable:
     a = -p.beta * absk ** (2.0 * p.m) + p.alpha * absk ** (2.0 * p.r) - 2.0 * p.mu
     lam = ks * a
     table = SymbolTable(params=p, n_modes=n_modes, a=a, lam=lam)
-    assert np.array_equal(table.lam, -table.lam[::-1])
+    if not np.array_equal(table.lam, -table.lam[::-1]):
+        raise DgbError("tabulated eigenvalues are not exactly odd in k")
     return table
 
 

@@ -1,17 +1,22 @@
 """Tests for config parsing, experiment dispatch, and stable emission."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dgblab
-from dgblab.cli import main, parse_config, run
+from dgblab.cli import EXPERIMENTS, main, parse_config, run
 from dgblab.damping import make_profile_bump
 from dgblab.dynamics import build_closed_loop
 from dgblab.errors import ConfigError
@@ -190,6 +195,14 @@ class TestMainEntry:
             ("lemmas", ["lemmas.n_max=0"]),
             ("lemmas", ["lemmas.n_max=1"]),
             ("lemmas", ["lemmas.floor=0"]),
+            ("simulate", ["time.dt=nan"]),
+            ("simulate", ["time.t_final=inf"]),
+            ("control-nonlinear", ["control.dt=0"]),
+            ("control-nonlinear", ["control.dt=-1"]),
+            ("lemmas", ["lemmas.tol=-1"]),
+            ("stabilize", ["fit.t0=5", "fit.t1=6", "time.t_final=0.1"]),
+            ("simulate", ["profile.kind=bump", "profile.a=4", "profile.b=1"]),
+            ("simulate", ["profile.kind=bump", "profile.modes=0"]),
         ],
     )
     def test_exit_two_on_out_of_range_key(self, tmp_path, capsys, experiment, overrides):
@@ -220,7 +233,7 @@ class TestMainEntry:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_control_linear_bump_stays_real(self, tmp_path, capsys):
-        # at n=24 unprojected rounding asymmetry in the control exceeds the real-field tolerance
+        # at n=24 the complex-form control carried rounding asymmetry past the real-field tolerance
         code = main(
             [
                 "control-linear",
@@ -270,6 +283,53 @@ class TestMainEntry:
         assert code == 0
         for stem in ("lemmas_a", "lemmas_b"):
             assert (tmp_path / "sweep" / stem / "manifest.json").exists()
+
+
+# up to three free keys drawn on top of the experiment, grid and horizon:
+# in-range values and non-finite, negative, zero or out-of-range ones
+_FREE_KEYS = {
+    "time.t_final": ["0", "-0.1", "1e-9", "nan", "inf"],
+    "time.dt": ["1e-3", "5e-3", "0", "-1e-3", "nan", "inf", "-inf"],
+    "control.dt": ["1e-2", "0", "-1", "nan", "inf"],
+    "record.every": ["1", "5", "0", "-3"],
+    "init.kind": ["cosine", "random", "other"],
+    "init.mode": ["1", "3", "0", "-2", "99"],
+    "init.amplitude": ["0.05", "0", "-0.1", "1e300", "nan"],
+    "init.mean": ["0", "0.3", "nan"],
+    "profile.kind": ["global", "bump", "other"],
+    "profile.modes": ["16", "32", "0", "-1"],
+    "profile.a": ["0", "1.5", "4", "-1", "nan"],
+    "profile.b": ["3", "6.3", "1", "inf"],
+    "fit.t0": ["0", "0.01", "0.1", "-1", "nan"],
+    "fit.t1": ["0.05", "0.2", "5", "inf"],
+    "lemmas.tol": ["0", "1e-9", "-1", "nan"],
+    "lemmas.n_max": ["1", "2", "8", "-5"],
+    "params.mu": ["0", "0.3", "nan", "-inf"],
+    "params.delta": ["1", "0.5", "0", "nan"],
+    "control.u1_mode": ["2", "0", "40"],
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    experiment=st.sampled_from(EXPERIMENTS),
+    n=st.integers(2, 16),
+    t_final=st.sampled_from(["0.05", "0.1", "0.2"]),
+    free=st.lists(st.sampled_from(sorted(_FREE_KEYS)), max_size=3, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({k: st.sampled_from(_FREE_KEYS[k]) for k in keys})
+    ),
+)
+def test_main_keeps_documented_exit_codes(experiment, n, t_final, free):
+    overrides = {"grid.n": str(n), "time.t_final": t_final, **free}
+    args = [experiment]
+    for key, value in overrides.items():
+        args += ["--override", f"{key}={value}"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args + ["--out", out])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

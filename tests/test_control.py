@@ -19,7 +19,14 @@ from dgblab.control import (
     observability_constant,
 )
 from dgblab.damping import gain_matrix, make_profile_bump, make_profile_global
-from dgblab.dynamics import build_closed_loop, field_to_state, linear_propagate
+from dgblab.dynamics import (
+    _eigenbasis,
+    _real_coords,
+    _real_form,
+    build_closed_loop,
+    field_to_state,
+    linear_propagate,
+)
 from dgblab.errors import DegenerateGramianError, IllPosedHorizonError, ProfileError
 from dgblab.spectral import (
     constant_field,
@@ -114,7 +121,7 @@ class TestFlowGramian:
         # moderate band so plain Gauss-Legendre resolves the oscillation
         loop = build_closed_loop(table, bump, 6)
         b = gain_matrix(bump, loop.modes, loop.modes)
-        fast, _ = _propagated_gramian(loop.generator, b, 1.0)
+        fast, _ = _propagated_gramian(loop.generator, b @ b.conj().T, 1.0)
         ts, ws = gauss_nodes(1.0, 768)
         slow = np.zeros_like(fast)
         for t, w in zip(ts, ws):
@@ -210,20 +217,54 @@ class TestCertificate:
         profile = bump if kind == "bump" else global_profile
         n = 8
         loop = build_closed_loop(build_symbols(BENJAMIN, n), profile, n)
-        b = gain_matrix(profile, loop.modes, loop.modes)
+        b = _real_form(gain_matrix(profile, loop.modes, loop.modes), n)
         rng = np.random.default_rng(4)
         # adjoint data of the size a steering solve produces
-        xi = 100.0 * field_to_state(random_field(n, rng, decay=1.5), n)
-        v0 = field_to_state(random_field(n, rng, decay=1.5), n)
-        fast = _certify_linear(loop.generator, b, xi, v0, 1.0)
-        slow = _rk_terminal_state(loop.generator, b, xi, v0, 1.0)
+        xi = 100.0 * _real_coords(random_field(n, rng, decay=1.5), n)
+        v0 = _real_coords(random_field(n, rng, decay=1.5), n)
+        fast = _certify_linear(loop.eigenbasis, b, xi, v0, 1.0)
+        slow = _rk_terminal_state(loop.real_generator, b, xi, v0, 1.0)
         assert np.linalg.norm(fast - slow) <= 1e-8 * np.linalg.norm(slow)
 
     def test_defective_generator_rejected(self):
-        a_mat = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
-        b_mat = np.eye(2, dtype=np.complex128)
         with pytest.raises(ProfileError):
-            _certify_linear(a_mat, b_mat, np.ones(2, complex), np.ones(2, complex), 1.0)
+            _eigenbasis(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestRealForm:
+    """The real-form routes against the complex 2N x 2N matrices they replace."""
+
+    @pytest.mark.parametrize("kind", ["bump", "global"])
+    def test_controllability_gramian_spectrum(self, kind, table, bump, global_profile):
+        profile = bump if kind == "bump" else global_profile
+        n = 16
+        loop = build_closed_loop(table, profile, n)
+        b = gain_matrix(profile, loop.modes, loop.modes)
+        complex_gram, _ = _propagated_gramian(loop.generator, b @ b.conj().T, 1.0)
+        expected = scipy.linalg.eigvalsh(complex_gram)
+        b_real = _real_form(b, n)
+        real_gram, _ = _propagated_gramian(loop.real_generator, b_real @ b_real.T, 1.0)
+        np.testing.assert_allclose(scipy.linalg.eigvalsh(real_gram), expected, rtol=1e-10)
+        rng = np.random.default_rng(5)
+        v0, v1 = random_field(n, rng, decay=1.5), random_field(n, rng, decay=1.5)
+        info = linear_control_gramian(ControlProblem(BENJAMIN, profile, n, 1.0, v0, v1)).info
+        assert info["gramian_min_eig"] == pytest.approx(expected[0], rel=1e-10)
+        assert info["gramian_cond"] == pytest.approx(expected[-1] / expected[0], rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["bump", "global"])
+    def test_worst_mode_attains_min_rayleigh_quotient(self, kind, table, bump, global_profile):
+        profile = bump if kind == "bump" else global_profile
+        n = 16
+        rep = observability_constant(table, profile, 1.0, n)
+        band = n + profile.k_modes
+        rows = np.arange(-band, band + 1)
+        c = np.abs(rows)[:, None] ** (0.5 * profile.delta) * gain_matrix(profile, rows, rep.loop.modes)
+        obs, _ = _propagated_gramian(rep.loop.generator.conj().T, c.conj().T @ c, 1.0)
+        s = field_to_state(rep.worst_mode, n)
+        quotient = np.vdot(s, obs @ s).real / np.vdot(s, s).real
+        assert quotient == pytest.approx(1.0 / rep.c_obs, rel=1e-10)
+        assert scipy.linalg.eigvalsh(obs)[0] == pytest.approx(1.0 / rep.c_obs, rel=1e-10)
+        assert l2_norm(rep.worst_mode) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestNonlinearControl:
