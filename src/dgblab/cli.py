@@ -490,8 +490,15 @@ def run(cfg: RunConfig, out_dir=None) -> dict:
     return {"experiment": cfg.experiment, "summary": summary, "out": str(out_dir)}
 
 
+def _read_config(path) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config '{path}': {exc}") from exc
+
+
 def _single_run(experiment, args) -> int:
-    text = Path(args.config).read_text() if args.config else ""
+    text = _read_config(args.config) if args.config else ""
     overrides = list(args.override or [])
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
@@ -502,12 +509,16 @@ def _single_run(experiment, args) -> int:
 
 
 def _sweep(args) -> int:
+    """Run every config into <out>/<file stem>; all are validated before the first runs."""
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
     base = Path(args.out or "runs/sweep")
-    jobs = []
+    jobs = {}
     for path in args.configs:
-        text = Path(path).read_text()
-        cfg = parse_config(text)
-        jobs.append((Path(path).stem, cfg))
+        name = Path(path).stem
+        if name in jobs:
+            raise ConfigError(f"two configs share the file stem '{name}' and so one output directory")
+        jobs[name] = parse_config(_read_config(path))
 
     def work(item):
         name, cfg = item
@@ -515,7 +526,7 @@ def _sweep(args) -> int:
         return name
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for name in pool.map(work, jobs):
+        for name in pool.map(work, jobs.items()):
             print(f"done: {name}")
     return 0
 

@@ -23,11 +23,12 @@ from .errors import BlowUpError, DgbError, ProfileError
 from .spectral import (
     TWO_PI,
     SpectralField,
+    conjugate_extend,
     constant_field,
     l2_norm,
     mean,
     project_mean_zero,
-    _dealias_points,
+    transport,
 )
 from .symbols import ModelParams, SymbolTable, build_symbols
 
@@ -273,8 +274,9 @@ class Etdrk4Integrator:
     the loop's eigenbasis of its real form, eigenvalues scaled by dt.
     For profile=None (the undamped equation) or the constant gain the
     generator is diagonal, i lam(k) - d(k), and the phi-functions act
-    modewise.  Explicit part: the dealiased transport term and optional
-    forcing.
+    modewise.  Explicit part: the dealiased transport term (`spectral.transport`)
+    and optional forcing, a callable of t returning the coefficients
+    k = 0..N that are added to the right-hand side.
 
     The stepper works on the coefficients k = 0..N; the negative modes are
     their conjugates, so every step returns a real field, and the mean k = 0
@@ -301,8 +303,6 @@ class Etdrk4Integrator:
         self.dt = dt
         self.forcing = forcing
         ks = np.arange(n_modes + 1)
-        self._m_grid = _dealias_points(n_modes)
-        self._ik = 1j * ks
 
         if profile is not None and profile.k_modes > 0:
             loop = build_closed_loop(table, profile, n_modes)
@@ -335,17 +335,11 @@ class Etdrk4Integrator:
         self._e_full, self._e_half = e_full, e_half
         self._q, self._f1, self._f2, self._f3 = phis
 
-    def _transport(self, u: np.ndarray) -> np.ndarray:
-        m = self._m_grid
-        vals = np.fft.irfft(u, m) * m
-        sq = np.fft.rfft(vals * vals)[: self.n_modes + 1] / m
-        return self._ik * sq
-
     def nonlinearity(self, u: np.ndarray, t: float) -> np.ndarray:
         """Explicit term on the coefficients k = 0..N; its mean entry is zero."""
-        out = -self._transport(u)
+        out = -transport(u)
         if self.forcing is not None:
-            out += self.forcing(t).with_cutoff(self.n_modes).coeffs[self.n_modes :]
+            out += self.forcing(t)
         out[0] = 0.0
         return out
 
@@ -367,7 +361,7 @@ class Etdrk4Integrator:
             + 2.0 * lin(self._f2, na + nb)
             + lin(self._f3, nc)
         )
-        return np.concatenate([np.conj(out[:0:-1]), out])
+        return conjugate_extend(out)
 
 
 def nonlinear_step(
@@ -378,7 +372,10 @@ def nonlinear_step(
     t: float = 0.0,
     forcing=None,
 ) -> SpectralField:
-    """One integrator step; builds a throwaway stepper (fine for diagnostics)."""
+    """One integrator step; builds a throwaway stepper (fine for diagnostics).
+
+    `forcing`, when given, maps t to the coefficients k = 0..N of the forcing.
+    """
     stepper = Etdrk4Integrator(table, profile, v.n_modes, dt, forcing)
     out = stepper.step(v.coeffs.copy(), t)
     return SpectralField(v.n_modes, out)
@@ -402,6 +399,8 @@ def simulate(
     worst energy-identity residual is below tolerance.  Divergence raises,
     carrying the last valid time.  `run_meta` gains the effective dt, the
     step count and the spectral abscissa of the generator that was stepped.
+    `forcing`, when given, maps t to the coefficients k = 0..N of the forcing
+    (the negative modes are their conjugates).
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")

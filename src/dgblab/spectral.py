@@ -3,7 +3,10 @@
 Convention: a field is v(x) = sum_k vhat(k) e^{ikx} with coefficients stored
 for k in {-N, ..., N}.  Fields are real-valued, so the coefficient array is
 kept exactly Hermitian-symmetric (vhat(-k) == conj(vhat(k))) with a real
-k = 0 entry.  Norms use the weighted convention
+k = 0 entry.  The half spectrum of a field is its coefficients k = 0..N, the
+negative modes being their conjugates; the integrator steps it, and
+`transport` and `conjugate_extend` are the kernels on it.  Norms use the
+weighted convention
 
     norm(v, s)^2 = 2*pi * sum_k (1 + |k|)^{2s} |vhat(k)|^2,
 
@@ -13,6 +16,7 @@ whose s = 0 case is the plain L^2 norm on the circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +56,11 @@ class SpectralField:
         sym[n] = sym[n].real
         sym.setflags(write=False)
         object.__setattr__(self, "coeffs", sym)
+
+    @property
+    def half(self) -> np.ndarray:
+        """The half spectrum: a read-only view of the coefficients k = 0..N."""
+        return self.coeffs[self.n_modes :]
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -168,24 +177,43 @@ def derivative_x(v: SpectralField) -> SpectralField:
     return apply_multiplier(v, lambda k: 1j * k)
 
 
-def _dealias_points(n: int) -> int:
+@lru_cache(maxsize=None)
+def _transport_grid(n: int) -> tuple:
+    """Grid size M and scaled multiplier i k M (k = 0..n) of `transport`, memoised per cutoff.
+
+    M is the smallest power of two, at least 8, with M >= 3n+1.
+    """
     m = 8
     while m < 3 * n + 1:
         m *= 2
-    return m
+    ik = 1j * m * np.arange(n + 1)
+    ik.setflags(write=False)
+    return m, ik
+
+
+def conjugate_extend(half: np.ndarray) -> np.ndarray:
+    """The coefficients -N..N of the real field whose half spectrum is `half`."""
+    return np.concatenate([np.conj(half[:0:-1]), half])
+
+
+def transport(half: np.ndarray) -> np.ndarray:
+    """Dealiased quadratic transport d/dx of v^2 on the half spectrum k = 0..N.
+
+    The square is formed pointwise on a grid with M >= 3N+1 points, which
+    makes the retained coefficients k <= N alias-free, then truncated and
+    differentiated.  The k = 0 output vanishes identically.
+    """
+    n = half.size - 1
+    m, ik = _transport_grid(n)
+    # the grid values are M irfft(half, M) and the square's coefficients
+    # rfft(w) / M, so the multiplier i k M carries both scalings
+    vals = np.fft.irfft(half, m)
+    return ik * np.fft.rfft(vals * vals)[: n + 1]
 
 
 def nonlinear_term(v: SpectralField) -> SpectralField:
-    """Dealiased quadratic transport term: d/dx of v^2.
-
-    The square is formed pointwise on a grid with M >= 3N+1 points, which
-    makes the retained coefficients |k| <= N alias-free, then truncated and
-    differentiated.  The k = 0 output vanishes identically.
-    """
-    n = v.n_modes
-    w = to_grid(v, _dealias_points(n)).values
-    sq = to_spectral(GridField(w * w), n)
-    return derivative_x(sq)
+    """Dealiased quadratic transport term d/dx of v^2 (`transport` on the field)."""
+    return SpectralField(v.n_modes, conjugate_extend(transport(v.half)))
 
 
 def sobolev_norm(v: SpectralField, s: float) -> float:

@@ -214,6 +214,32 @@ class TestMainEntry:
         assert "config error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "{missing}"],
+            ["sweep", "--configs", "{missing}"],
+            ["sweep", "--configs", "{a}", "--jobs", "0"],
+            ["sweep", "--configs", "{a}", "{b}"],
+        ],
+        ids=["missing-config", "sweep-missing-config", "sweep-zero-jobs", "sweep-same-stem"],
+    )
+    def test_exit_two_on_unusable_config_source(self, tmp_path, capsys, argv):
+        paths = {
+            "missing": tmp_path / "missing.cfg",
+            "a": tmp_path / "a" / "lemmas.cfg",
+            "b": tmp_path / "b" / "lemmas.cfg",
+        }
+        for key in ("a", "b"):
+            paths[key].parent.mkdir()
+            paths[key].write_text(BENJAMIN_CFG.replace("grid.n = 64", "grid.n = 8"))
+        out = tmp_path / "out"
+        assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_exit_three_on_numerical_failure(self, tmp_path, capsys):
         # a 16-mode band cannot represent the half-circle bump nonnegatively
         code = main(

@@ -298,6 +298,28 @@ class TestNonlinearControl:
         )
         assert sol.terminal_error < 1e-6
 
+    def test_field_count_independent_of_step_count(self, global_profile, monkeypatch):
+        # the forcing runs on the integrator's coefficient arrays: no field per stage
+        from dgblab.spectral import SpectralField
+
+        built = []
+        post_init = SpectralField.__post_init__
+
+        def counted(field):
+            built.append(1)
+            post_init(field)
+
+        monkeypatch.setattr(SpectralField, "__post_init__", counted)
+        prob = ControlProblem(
+            BENJAMIN, global_profile, 32, 1.0, cosine_field(32, 1, 0.05), cosine_field(32, 2, 0.05)
+        )
+        counts = []
+        for dt in (1e-2, 5e-3):
+            built.clear()
+            nonlinear_control_global(prob, dt=dt)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
     def test_localized_gain_rejected(self, bump):
         u0 = cosine_field(16, 1, 0.05)
         u1 = cosine_field(16, 2, 0.05)

@@ -157,10 +157,15 @@ class TestNonlinearTerm:
         oracle = convolution_transport(v)
         assert np.abs(out.coeffs - oracle.coeffs).max() < 1e-12
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_random_fields_match_oracle(self, seed):
+    @pytest.mark.parametrize(
+        "seed, n",
+        [pytest.param(seed, 32, id=str(seed)) for seed in range(4)]
+        # M = 3N+1 exactly: the edge of the alias-free grids
+        + [pytest.param(0, 21, id="n21"), pytest.param(0, 85, id="n85")],
+    )
+    def test_random_fields_match_oracle(self, seed, n):
         rng = np.random.default_rng(seed)
-        v = random_field(32, rng, decay=0.5)
+        v = random_field(n, rng, decay=0.5)
         out = nonlinear_term(v)
         oracle = convolution_transport(v)
         scale = max(1.0, np.abs(oracle.coeffs).max())
