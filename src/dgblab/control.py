@@ -336,17 +336,19 @@ def nonlinear_control_global(problem: ControlProblem, dt: float = 1e-3) -> Contr
     lam = table0.eig(np.arange(n + 1))
     u0 = p.v0.with_cutoff(n).half
     u1 = p.v1.with_cutoff(n).half
-    # the controlled linear trajectory u(t) = e^{i lam t} (u0 + t drift) runs from u0 to u1
+    # the controlled linear trajectory u(t) = e^{i lam t} (u0 + t drift) runs from u0 to u1;
+    # the mean is not steered, so u keeps that of u0 (ControlProblem checks u1 agrees)
     drift = (np.exp(-1j * lam * big_t) * u1 - u0) / big_t
-    # the modal Gramian of the undamped pair is T/(2 pi)^2, so the control
-    # h1 = B^* e^{(T-t)A^*} xi is 2 pi e^{i lam t} drift off the mean
-    h1_drift = drift.copy()
-    h1_drift[0] = 0.0
+    drift[0] = 0.0
 
     def forcing(t: float) -> np.ndarray:
-        """g h1 + d/dx u^2 on the coefficients k = 0..N, with g = 1/(2 pi)."""
+        """g h1 + d/dx u^2 on the coefficients k = 0..N, with g = 1/(2 pi).
+
+        The modal Gramian of the undamped pair is T/(2 pi)^2, so the control
+        h1 = B^* e^{(T-t)A^*} xi is 2 pi e^{i lam t} drift.
+        """
         phase = np.exp(1j * lam * t)
-        return phase * h1_drift + transport(phase * (u0 + t * drift))
+        return phase * drift + transport(phase * (u0 + t * drift))
 
     record = simulate(table0, None, p.v0.with_cutoff(n), big_t, dt, forcing=forcing, record_every=10**9)
     final = record.states[-1]
