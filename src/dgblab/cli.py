@@ -111,6 +111,9 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # numpy's Generator seeds only from non-negative integers
+        if self["seed"] < 0:
+            raise ConfigError("seed must be nonnegative")
         if self["grid.n"] < 4:
             raise ConfigError("grid.n must be at least 4")
         for key in ("init.mode", "control.u0_mode", "control.u1_mode"):

@@ -6,6 +6,9 @@ per-mode closed forms available when the gain is constant.  The Gramian
 route runs in the closed loop's real form, so its controls are real fields
 with no projection; it is synthesized through a Pade block exponential and
 certified by a closed form of the controlled flow in the loop's eigenbasis.
+The observability Gramian takes the same closed form from the same cached
+eigenbasis; only the Pade exponential (`dynamics._expm`) loads scipy, on
+first use, so importing the package does not.
 The nonlinear steering for the constant gain rides on an exactly controlled
 linear trajectory whose transport term is re-injected through the gain, and
 is certified by re-simulating the forced nonlinear system.  That forcing is
@@ -20,12 +23,12 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
 from .damping import DampingProfile, gain_matrix
 from .dynamics import (
     LinearClosedLoop,
+    _expm,
     _real_coords,
     _real_field,
     _real_form,
@@ -171,14 +174,16 @@ def _propagated_gramian(a_mat, q, horizon):
     yields the Gramian.  Exact up to expm accuracy, with no resolution limit
     from the dispersive oscillation; the plain quadrature alternative needs
     node counts proportional to |lam|_max * T.  Real A and Q stay real.
-    Returns the Gramian and the flow e^{TA}.
+    Returns the Gramian and the flow e^{TA}.  Serves the steering synthesis,
+    and the tests as an oracle for the eigenbasis Gramians, which it shares
+    no factorization with.
     """
     dim = a_mat.shape[0]
     block = np.zeros((2 * dim, 2 * dim), dtype=np.result_type(a_mat, q))
     block[:dim, :dim] = a_mat
     block[:dim, dim:] = q
     block[dim:, dim:] = -a_mat.conj().T
-    e_block = scipy.linalg.expm(horizon * block)
+    e_block = _expm(horizon * block)
     flow = e_block[:dim, :dim]
     gram = e_block[:dim, dim:] @ flow.conj().T
     return 0.5 * (gram + gram.conj().T), flow
@@ -203,6 +208,19 @@ def _certify_linear(eigenbasis, b_mat, xi, v0_state, horizon):
     return (vecs @ inner).real
 
 
+def _observability_gramian(eigenbasis, q, horizon):
+    """int_0^T e^{tA^T} Q e^{tA} dt for the real A = V diag(mu) V^{-1} and symmetric Q.
+
+    Equals V^{-T} (Gamma o V^T Q V) V^{-1} with Gamma as in `_certify_linear`
+    (Van Loan, IEEE TAC 1978); the real part is symmetrized.  `_eigenbasis`
+    caps cond(V), which bounds the rounding of this route.
+    """
+    mu, vecs, inv = eigenbasis
+    gamma = _exp_integral(mu[:, None] + mu[None, :], horizon)
+    obs = (inv.T @ (gamma * (vecs.T @ q @ vecs)) @ inv).real
+    return 0.5 * (obs + obs.T)
+
+
 def linear_control_gramian(problem: ControlProblem, n_samples: int = 129) -> ControlSolution:
     """Minimum-norm steering of the damped linear loop through the gain.
 
@@ -222,9 +240,9 @@ def linear_control_gramian(problem: ControlProblem, n_samples: int = 129) -> Con
     b_mat = _real_form(gain_matrix(p.profile, loop.modes, loop.modes), n)
 
     gram, flow = _propagated_gramian(loop.real_generator, b_mat @ b_mat.T, p.horizon)
-    eigs = scipy.linalg.eigvalsh(gram)
+    eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 1e-15 * max(eigs[-1], 1e-300):
-        deficient = scipy.linalg.eigh(gram)[1][:, 0]
+        deficient = np.linalg.eigh(gram)[1][:, 0]
         raise UncontrollableTruncationError(
             f"Gramian numerically singular (min eig {eigs[0]:.3e}); "
             f"deficient direction peaked at mode {int(np.argmax(np.abs(deficient))) // 2 + 1}"
@@ -233,8 +251,8 @@ def linear_control_gramian(problem: ControlProblem, n_samples: int = 129) -> Con
     v0r = _real_coords(p.v0, n)
     v1r = _real_coords(p.v1, n)
     defect = v1r - flow @ v0r
-    xi = scipy.linalg.solve(gram, defect, assume_a="sym")
-    xi += scipy.linalg.solve(gram, defect - gram @ xi, assume_a="sym")
+    xi = np.linalg.solve(gram, defect)
+    xi += np.linalg.solve(gram, defect - gram @ xi)
 
     times = np.linspace(0.0, p.horizon, n_samples)
     mu, vecs, inv = loop.eigenbasis
@@ -388,7 +406,10 @@ def observability_constant(
     mean-zero truncation and returns c_obs = 1 / min-eigenvalue, normalized
     so that ||v0||^2 <= c_obs * observed energy.  Energy balance forces
     c_obs > 2.  Built in the loop's real form, so the minimizing state is a
-    real field by construction.
+    real field by construction.  O comes in closed form
+    (`_observability_gramian`) from the loop's cached eigenbasis, which the
+    abscissa of `decay_rate_predict` also reads; the tests hold it against
+    the Pade block exponential of `_propagated_gramian`.
     """
     loop = build_closed_loop(table, profile, n_modes)
     band = n_modes + profile.k_modes
@@ -396,10 +417,9 @@ def observability_constant(
     c_mat = np.abs(rows).astype(np.float64)[:, None] ** (0.5 * profile.delta) * gain_matrix(
         profile, rows, loop.modes
     )
-    # O = int e^{tA^T} C^T C e^{tA} dt in the real form: the flow Gramian of the adjoint pair
+    # O = int e^{tA^T} Q e^{tA} dt with Q = C^T C, both in the real form
     q = _real_form(c_mat.conj().T @ c_mat, n_modes)
-    obs, _ = _propagated_gramian(loop.real_generator.T, q, horizon)
-    eigvals, eigvecs = scipy.linalg.eigh(obs)
+    eigvals, eigvecs = np.linalg.eigh(_observability_gramian(loop.eigenbasis, q, horizon))
     lam_min = float(eigvals[0])
     if lam_min <= 0:
         raise ObservabilityFailureError(f"observability Gramian lost positivity: {lam_min:.3e}")

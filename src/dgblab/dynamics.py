@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import damping as dmp
 from .damping import DampingProfile, feedback_matrix
@@ -83,8 +82,8 @@ class LinearClosedLoop:
     """Damped linear generator on the 2N mean-zero modes.
 
     The loop owns the generator's real form and its one eigenbasis, computed
-    the first time the abscissa, the integrator, the steering controls or
-    the steering certificate need it.
+    the first time the abscissa, the integrator, the steering controls, the
+    steering certificate or the observability Gramian need it.
     """
 
     n_modes: int
@@ -133,6 +132,18 @@ def _eigenbasis(mat: np.ndarray) -> tuple:
     return mu, vecs, np.linalg.inv(vecs)
 
 
+def _expm(mat: np.ndarray) -> np.ndarray:
+    """Pade matrix exponential: `scipy.linalg.expm`, the package's only use of scipy.
+
+    scipy.linalg is imported on the first call, not with the package, and
+    `expm` is looked up on every call, so a wrapper installed on
+    `scipy.linalg.expm` sees every use.
+    """
+    import scipy.linalg
+
+    return scipy.linalg.expm(mat)
+
+
 def field_to_state(v: SpectralField, n_modes: int) -> np.ndarray:
     c = v.with_cutoff(n_modes).coeffs
     return np.concatenate([c[:n_modes], c[n_modes + 1 :]])
@@ -162,7 +173,7 @@ def linear_propagate(loop: LinearClosedLoop, v0: SpectralField, t: float) -> Spe
     if t < 0:
         raise ValueError("backward-time propagation rejected")
     state = field_to_state(v0, loop.n_modes)
-    out = scipy.linalg.expm(t * loop.generator) @ state
+    out = _expm(t * loop.generator) @ state
     n_in = np.linalg.norm(state)
     if np.linalg.norm(out) > n_in * (1.0 + 1e-10) + 1e-300:
         raise DgbError("closed-loop propagation violated the contraction bound")
@@ -177,7 +188,7 @@ def linear_trajectory(
         raise ValueError("need positive dt and t_final")
     n_steps = max(1, round(t_final / dt))
     dt_eff = t_final / n_steps
-    stepper = scipy.linalg.expm(dt_eff * loop.generator)
+    stepper = _expm(dt_eff * loop.generator)
     mu = mean(v0)
     state = field_to_state(v0, loop.n_modes)
     times = [0.0]

@@ -203,6 +203,9 @@ class TestMainEntry:
             ("stabilize", ["fit.t0=5", "fit.t1=6", "time.t_final=0.1"]),
             ("simulate", ["profile.kind=bump", "profile.a=4", "profile.b=1"]),
             ("simulate", ["profile.kind=bump", "profile.modes=0"]),
+            ("simulate", ["seed=-1"]),
+            ("stabilize", ["seed=-1"]),
+            ("control-linear", ["seed=-1"]),
         ],
     )
     def test_exit_two_on_out_of_range_key(self, tmp_path, capsys, experiment, overrides):
@@ -373,3 +376,36 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
         timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_loads_scipy_only_for_the_pade_exponential():
+    # observing and stabilizing run on numpy alone; the Pade expm of linear
+    # steering is the one place scipy is imported, on first use
+    env = dict(os.environ)
+    src = str(Path(dgblab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import contextlib, io, sys, tempfile\n"
+        "from dgblab.cli import main\n"
+        "print('import', 'scipy' in sys.modules)\n"
+        "for name in ('observability', 'stabilize', 'control-linear'):\n"
+        "    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main([name, '--out', out, '--override', 'profile.kind=bump',\n"
+        "                     '--override', 'profile.modes=64', '--override', 'grid.n=8',\n"
+        "                     '--override', 'time.t_final=0.1'])\n"
+        "    print(name, code, 'scipy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.splitlines() == [
+        "import False",
+        "observability 0 False",
+        "stabilize 0 False",
+        "control-linear 0 True",
+    ]

@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 from dgblab.control import (
     ControlProblem,
     _certify_linear,
+    _observability_gramian,
     _propagated_gramian,
     biorthogonal_family,
     decay_rate_predict,
@@ -265,6 +266,20 @@ class TestRealForm:
         assert quotient == pytest.approx(1.0 / rep.c_obs, rel=1e-10)
         assert scipy.linalg.eigvalsh(obs)[0] == pytest.approx(1.0 / rep.c_obs, rel=1e-10)
         assert l2_norm(rep.worst_mode) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["bump", "global"])
+    def test_observability_gramian_matches_pade_oracle(self, kind, table, bump, global_profile):
+        profile = bump if kind == "bump" else global_profile
+        n = 16
+        loop = build_closed_loop(table, profile, n)
+        band = n + profile.k_modes
+        rows = np.arange(-band, band + 1)
+        c = np.abs(rows)[:, None] ** (0.5 * profile.delta) * gain_matrix(profile, rows, loop.modes)
+        q = _real_form(c.conj().T @ c, n)
+        oracle, _ = _propagated_gramian(loop.real_generator.T, q, 1.0)
+        obs = _observability_gramian(loop.eigenbasis, q, 1.0)
+        assert np.linalg.norm(obs - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        assert np.linalg.eigvalsh(obs)[0] == pytest.approx(np.linalg.eigvalsh(oracle)[0], rel=1e-10)
 
 
 class TestNonlinearControl:
