@@ -134,6 +134,8 @@ class RunConfig:
             raise ConfigError("lemmas.tol must be nonnegative")
         if self["profile.kind"] not in ("global", "bump"):
             raise ConfigError("profile.kind must be 'global' or 'bump'")
+        if self.experiment == "control-nonlinear" and self["profile.kind"] != "global":
+            raise ConfigError("control-nonlinear needs the constant gain: profile.kind = global")
         if self["profile.kind"] == "bump" and not (
             0 <= self["profile.a"] < self["profile.b"] <= 2 * np.pi and self["profile.modes"] >= 1
         ):
@@ -217,20 +219,25 @@ def parse_config(text: str, experiment: str | None = None, overrides=()) -> RunC
     return RunConfig(experiment=experiment, raw=raw)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+# numpy dtype kind -> printf conversion: bools as 1/0, integers exactly,
+# floats to 17 significant digits, anything else through str
+_CONVERSIONS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 
 
-def write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def write_csv(path: Path, header, columns):
+    """Write equal-length columns under `header` in one formatting pass.
+
+    Each column holds values of one type; its numpy dtype picks the
+    conversion of the one row format, and every row is formatted by a
+    single `%` over the flattened values.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    row = ",".join(_CONVERSIONS.get(c.dtype.kind, "%s") for c in columns) + "\n"
+    values = [None] * (n_rows * len(columns))
+    for j, c in enumerate(columns):
+        values[j :: len(columns)] = c.tolist()
+    path.write_text(",".join(header) + "\n" + (row * n_rows) % tuple(values))
 
 
 def _short_hash(payload: dict) -> str:
@@ -276,19 +283,19 @@ def _write_profile_artifacts(out_dir: Path, profile: DampingProfile, n: int):
     ks = np.arange(1, 2 * n + 1)
     d = profile.d_symbol(ks)
     weight = (1.0 + ks.astype(float) ** 2) ** (0.5 * profile.delta)
-    write_csv(
-        out_dir / "dsymbol.csv",
-        ["k", "d", "bracket_pow_delta", "ratio"],
-        [(int(k), dv, w, dv / w) for k, dv, w in zip(ks, d, weight)],
-    )
+    header = ["k", "d", "bracket_pow_delta", "ratio"]
+    write_csv(out_dir / "dsymbol.csv", header, [ks, d, weight, d / weight])
 
 
 def _write_trajectory(out_dir: Path, record):
     resid = record.energy_residuals
     if resid is None:
         resid = np.full(record.times.size, np.nan)
-    rows = zip(record.times, record.l2norms, record.means, resid)
-    write_csv(out_dir / "trajectory.csv", ["t", "l2norm", "mean", "energy_residual"], rows)
+    write_csv(
+        out_dir / "trajectory.csv",
+        ["t", "l2norm", "mean", "energy_residual"],
+        [record.times, record.l2norms, record.means, resid],
+    )
 
 
 def _spectral_dump(field_):
@@ -307,11 +314,13 @@ def _write_snapshots(out_dir: Path, record):
 
 
 def _write_control(out_dir: Path, solution):
-    rows = []
-    for t, f in zip(solution.times, solution.fields):
-        for k, c in zip(f.wavenumbers, f.coeffs):
-            rows.append((t, int(k), c.real, c.imag))
-    write_csv(out_dir / "control.csv", ["t", "k", "re", "im"], rows)
+    fields = solution.fields
+    times = np.repeat(solution.times, [f.coeffs.size for f in fields])
+    ks = np.concatenate([f.wavenumbers for f in fields])
+    coeffs = np.concatenate([f.coeffs for f in fields])
+    write_csv(
+        out_dir / "control.csv", ["t", "k", "re", "im"], [times, ks, coeffs.real, coeffs.imag]
+    )
 
 
 def _damped_run(cfg: RunConfig, out_dir: Path):
@@ -387,7 +396,7 @@ def _run_control_linear(cfg: RunConfig, out_dir: Path) -> dict:
 
 def _run_control_nonlinear(cfg: RunConfig, out_dir: Path) -> dict:
     n = cfg["grid.n"]
-    profile = make_profile_global(cfg.params.delta)
+    profile = _build_profile(cfg)
     u0 = cosine_field(n, cfg["control.u0_mode"], cfg["control.u0_amplitude"])
     u1 = cosine_field(n, cfg["control.u1_mode"], cfg["control.u1_amplitude"])
     problem = ControlProblem(cfg.params, profile, n, cfg["time.t_final"], u0, u1)
@@ -421,21 +430,19 @@ def _run_lemmas(cfg: RunConfig, out_dir: Path) -> dict:
     table = build_symbols(cfg.params, n)
 
     mult = multiplicity_scan(table, tol=cfg["lemmas.tol"])
+    mult_rows = [
+        (c.representative, c.count, c.eigenvalue, "|".join(str(m) for m in c.members))
+        for c in mult.classes
+    ]
     write_csv(
         out_dir / "lemma_multiplicity.csv",
         ["representative", "count", "eigenvalue", "members"],
-        [
-            (c.representative, c.count, c.eigenvalue, "|".join(str(m) for m in c.members))
-            for c in mult.classes
-        ],
+        zip(*mult_rows),
     )
 
     gaps = gap_check(table)
-    write_csv(
-        out_dir / "lemma_gap.csv",
-        ["k", "gap", "bound", "passed"],
-        [(r.k, r.gap, r.bound, r.passed) for r in gaps.rows],
-    )
+    gap_rows = [(r.k, r.gap, r.bound, r.passed) for r in gaps.rows]
+    write_csv(out_dir / "lemma_gap.csv", ["k", "gap", "bound", "passed"], zip(*gap_rows))
 
     res_rows = []
     scan_sizes = [s for s in (8, 16, 32, 64, 128) if s <= n_max] or [n_max]
@@ -445,14 +452,14 @@ def _run_lemmas(cfg: RunConfig, out_dir: Path) -> dict:
     write_csv(
         out_dir / "lemma_resonance.csv",
         ["n_max", "a_threshold", "min_ratio", "k1", "k2", "k3"],
-        res_rows,
+        zip(*res_rows),
     )
 
     mod = modulation_check(table, n_max, floor=min(cfg["lemmas.floor"], n_max))
     write_csv(
         out_dir / "lemma_modulation.csv",
         ["n_max", "floor", "min_ratio", "k", "n"],
-        [(mod.n_max, mod.floor, mod.min_ratio) + mod.witness],
+        [[v] for v in (mod.n_max, mod.floor, mod.min_ratio) + mod.witness],
     )
 
     final = resonance_check(table, n_max, a_threshold=min(cfg["lemmas.a_threshold"], n_max))

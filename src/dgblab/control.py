@@ -340,7 +340,9 @@ def nonlinear_control_global(problem: ControlProblem, dt: float = 1e-3) -> Contr
     trajectory u(t) has a closed form.  Feeding the transport term of that
     very trajectory back through the gain (as 2 pi d/dx u^2) makes u solve
     the forced nonlinear equation too, so the steering is exact up to
-    discretization.  Certified by re-simulating the nonlinear system.
+    discretization.  Certified by re-simulating the nonlinear system, whose
+    integrator evaluates the forcing (a pure function of t) once per distinct
+    stage time, 2 n_steps + 1 times, and does not mutate the arrays it returns.
     """
     p = problem
     if p.profile is not None and p.profile.k_modes != 0:

@@ -287,7 +287,11 @@ class Etdrk4Integrator:
     generator is diagonal, i lam(k) - d(k), and the phi-functions act
     modewise.  Explicit part: the dealiased transport term (`spectral.transport`)
     and optional forcing, a callable of t returning the coefficients
-    k = 0..N that are added to the right-hand side.
+    k = 0..N that are added to the right-hand side.  The forcing must be a
+    pure function of t: the integrator evaluates it once per distinct stage
+    time (the two midpoint stages share one value, and a step ending at the
+    next step's start time hands its last value on), and it does not mutate
+    the returned array.
 
     The stepper works on the coefficients k = 0..N; the negative modes are
     their conjugates, so every step returns a real field, and the mean k = 0
@@ -313,6 +317,9 @@ class Etdrk4Integrator:
         self.n_modes = n_modes
         self.dt = dt
         self.forcing = forcing
+        # the last forcing evaluation, keyed by its exact stage time
+        self._forced_t = None
+        self._forced = None
         ks = np.arange(n_modes + 1)
 
         if profile is not None and profile.k_modes > 0:
@@ -350,22 +357,27 @@ class Etdrk4Integrator:
         """Explicit term on the coefficients k = 0..N; its mean entry is zero."""
         out = -transport(u)
         if self.forcing is not None:
-            out += self.forcing(t)
+            if t != self._forced_t:
+                self._forced, self._forced_t = self.forcing(t), t
+            out += self._forced
         out[0] = 0.0
         return out
 
-    def step(self, coeffs: np.ndarray, t: float) -> np.ndarray:
+    def step(self, coeffs: np.ndarray, t: float, t_end: float | None = None) -> np.ndarray:
+        """Advance from t to t_end (default t + dt); the stage times are t, t + dt/2, t_end."""
         lin = self._apply
-        dt = self.dt
+        t_mid = t + self.dt / 2.0
+        if t_end is None:
+            t_end = t + self.dt
         u = np.ascontiguousarray(coeffs[self.n_modes :], dtype=np.complex128)
         nv = self.nonlinearity(u, t)
         eu = lin(self._e_half, u)
         a = eu + lin(self._q, nv)
-        na = self.nonlinearity(a, t + dt / 2.0)
+        na = self.nonlinearity(a, t_mid)
         b = eu + lin(self._q, na)
-        nb = self.nonlinearity(b, t + dt / 2.0)
+        nb = self.nonlinearity(b, t_mid)
         c = lin(self._e_half, a) + lin(self._q, 2.0 * nb - nv)
-        nc = self.nonlinearity(c, t + dt)
+        nc = self.nonlinearity(c, t_end)
         out = (
             lin(self._e_full, u)
             + lin(self._f1, nv)
@@ -411,7 +423,9 @@ def simulate(
     carrying the last valid time.  `run_meta` gains the effective dt, the
     step count and the spectral abscissa of the generator that was stepped.
     `forcing`, when given, maps t to the coefficients k = 0..N of the forcing
-    (the negative modes are their conjugates).
+    (the negative modes are their conjugates).  It must be a pure function of
+    t: the integrator evaluates it once per distinct stage time, 2 n_steps + 1
+    times per attempt, and does not mutate the returned array.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -442,8 +456,11 @@ def _run_once(table, profile, v0, t_final, dt, forcing, record_every, run_meta) 
     states = [SpectralField(n, coeffs.copy())]
     t = 0.0
     for i in range(n_steps):
-        coeffs = stepper.step(coeffs, t)
-        t = (i + 1) * dt_eff
+        # the step ends at the time recorded and passed on as the next start, so
+        # its last forcing evaluation is the next step's first
+        t_next = (i + 1) * dt_eff
+        coeffs = stepper.step(coeffs, t, t_next)
+        t = t_next
         ssq = float(np.sum(np.abs(coeffs) ** 2))
         if not np.isfinite(ssq) or ssq > blow_limit:
             raise BlowUpError(f"blow-up detected at t = {t:.6g}", last_valid_time=times[-1])

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dgblab
-from dgblab.cli import EXPERIMENTS, main, parse_config, run
+from dgblab.cli import EXPERIMENTS, main, parse_config, run, write_csv
 from dgblab.damping import make_profile_bump
 from dgblab.dynamics import build_closed_loop
 from dgblab.errors import ConfigError
@@ -206,6 +206,7 @@ class TestMainEntry:
             ("simulate", ["seed=-1"]),
             ("stabilize", ["seed=-1"]),
             ("control-linear", ["seed=-1"]),
+            ("control-nonlinear", ["profile.kind=bump", "grid.n=16"]),
         ],
     )
     def test_exit_two_on_out_of_range_key(self, tmp_path, capsys, experiment, overrides):
@@ -409,3 +410,40 @@ def test_cli_loads_scipy_only_for_the_pade_exponential():
         "stabilize 0 False",
         "control-linear 0 True",
     ]
+
+
+def _fmt_oracle(value) -> str:
+    # the per-value formatting the CSV writer must reproduce byte for byte
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    floats = [0.1, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300]
+    size = len(floats)
+    columns = {
+        "bool": [bool(i % 2) for i in range(size)],
+        "np_bool": np.arange(size) % 3 == 0,
+        "np_bool_scalars": tuple(np.bool_(i % 2 == 0) for i in range(size)),
+        "int": [0, -3, 7, 2**40, -(2**53) - 1, 12, 1],
+        "np_int": np.arange(-3, size - 3, dtype=np.int64) * 10**15,
+        "np_int_scalars": tuple(np.int64(i - 2) for i in range(size)),
+        "float": floats,
+        "np_float": np.array(floats),
+        "np_float_scalars": tuple(np.float64(f) for f in floats),
+        "str": ["1|2|3", "a", "", "-4", "x y", "7", "nan"],
+    }
+    header = list(columns)
+    rows = zip(*columns.values())
+    lines = [",".join(header)] + [",".join(_fmt_oracle(v) for v in row) for row in rows]
+    expected = "\n".join(lines) + "\n"
+    write_csv(tmp_path / "all.csv", header, columns.values())
+    assert (tmp_path / "all.csv").read_bytes() == expected.encode()
+
+    write_csv(tmp_path / "empty.csv", ["a", "b"], zip(*[]))
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"

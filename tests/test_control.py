@@ -335,6 +335,36 @@ class TestNonlinearControl:
             counts.append(len(built))
         assert counts[0] == counts[1]
 
+    def test_forcing_evaluated_once_per_distinct_stage_time(self, global_profile, monkeypatch):
+        # stages 2 and 3 share t + dt/2 and a step's end is the next one's start;
+        # at dt = 2.5e-4 the float t + dt misses (i + 1) dt in about a quarter of the steps
+        from dgblab.dynamics import Etdrk4Integrator
+
+        stage_times = []
+        init = Etdrk4Integrator.__init__
+
+        def counting_init(integrator, *args, **kwargs):
+            init(integrator, *args, **kwargs)
+            forcing = integrator.forcing
+
+            def counted(t):
+                stage_times.append(t)
+                return forcing(t)
+
+            integrator.forcing = counted
+
+        monkeypatch.setattr(Etdrk4Integrator, "__init__", counting_init)
+        prob = ControlProblem(
+            BENJAMIN, global_profile, 32, 1.0, cosine_field(32, 1, 0.05), cosine_field(32, 2, 0.05)
+        )
+        for dt in (1e-2, 2.5e-4):
+            stage_times.clear()
+            sol = nonlinear_control_global(prob, dt=dt)
+            n_steps = sol.info["certificate_steps"]
+            assert n_steps == round(1.0 / dt)
+            assert len(stage_times) == 2 * n_steps + 1
+            assert len(set(stage_times)) == len(stage_times)
+
     def test_localized_gain_rejected(self, bump):
         u0 = cosine_field(16, 1, 0.05)
         u1 = cosine_field(16, 2, 0.05)
