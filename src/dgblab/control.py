@@ -33,9 +33,7 @@ from .dynamics import (
     _real_field,
     _real_form,
     build_closed_loop,
-    field_to_state,
     simulate,
-    state_to_field,
 )
 from .errors import (
     DegenerateGramianError,
@@ -221,7 +219,11 @@ def _observability_gramian(eigenbasis, q, horizon):
     return 0.5 * (obs + obs.T)
 
 
-def linear_control_gramian(problem: ControlProblem, n_samples: int = 129) -> ControlSolution:
+# time samples of a synthesized linear control on [0, T]
+_CONTROL_SAMPLES = 129
+
+
+def linear_control_gramian(problem: ControlProblem) -> ControlSolution:
     """Minimum-norm steering of the damped linear loop through the gain.
 
     In the loop's real form, where A and B are real 2N x 2N matrices, solves
@@ -254,7 +256,7 @@ def linear_control_gramian(problem: ControlProblem, n_samples: int = 129) -> Con
     xi = np.linalg.solve(gram, defect)
     xi += np.linalg.solve(gram, defect - gram @ xi)
 
-    times = np.linspace(0.0, p.horizon, n_samples)
+    times = np.linspace(0.0, p.horizon, _CONTROL_SAMPLES)
     mu, vecs, inv = loop.eigenbasis
     # row i: e^{(T - t_i) A^T} xi = V^{-T} (e^{(T - t_i) mu} o V^T xi), then B^T
     modal = np.exp(np.outer(p.horizon - times, mu)) * (vecs.T @ xi)
@@ -278,35 +280,39 @@ def linear_control_gramian(problem: ControlProblem, n_samples: int = 129) -> Con
     )
 
 
-def linear_control_global_modal(problem: ControlProblem, n_samples: int = 129) -> ControlSolution:
+def linear_control_global_modal(problem: ControlProblem) -> ControlSolution:
     """Per-mode closed-form steering for the constant gain.
 
     With g = 1/(2 pi) the damped loop is diagonal: every quantity of the
-    Gramian construction has a scalar closed form.  Serves as the
-    independent oracle for the matrix route.
+    Gramian construction has a scalar closed form.  It is computed on the
+    modes k = 1..N, whose conjugates are the negative modes, so the control
+    fields are real by construction.  Serves as the independent oracle for
+    the matrix route.
     """
     p = problem
     if p.profile is None or p.profile.k_modes != 0:
         raise ValueError("modal route requires the constant gain")
-    table = build_symbols(p.params, p.n_modes)
-    modes = np.concatenate([np.arange(-p.n_modes, 0), np.arange(1, p.n_modes + 1)])
-    lam = table.eig(modes)
-    d = p.profile.d_symbol(modes)
+    n = p.n_modes
+    table = build_symbols(p.params, n)
+    ks = np.arange(1, n + 1)
+    lam = table.eig(ks)
+    d = p.profile.d_symbol(ks)
     big_t = p.horizon
 
     w_diag = (1.0 - np.exp(-2.0 * d * big_t)) / (2.0 * d * (TWO_PI**2))
-    v0s = field_to_state(p.v0, p.n_modes)
-    v1s = field_to_state(p.v1, p.n_modes)
+    v0s = p.v0.with_cutoff(n).half[1:]
+    v1s = p.v1.with_cutoff(n).half[1:]
     flow_t = np.exp((1j * lam - d) * big_t)
     xi = (v1s - flow_t * v0s) / w_diag
 
-    times = np.linspace(0.0, big_t, n_samples)
+    times = np.linspace(0.0, big_t, _CONTROL_SAMPLES)
     fields = tuple(
-        state_to_field(np.exp((-1j * lam - d) * (big_t - t)) * xi / TWO_PI, p.n_modes)
+        _real_field((np.exp((-1j * lam - d) * (big_t - t)) * xi / TWO_PI).view(np.float64), n)
         for t in times
     )
     v_final = flow_t * v0s + w_diag * xi
-    err = np.sqrt(TWO_PI) * np.linalg.norm(v_final - v1s) / max(l2_norm(p.v1), 1e-12)
+    # the negative modes double the squared norm of the half
+    err = np.sqrt(2.0 * TWO_PI) * np.linalg.norm(v_final - v1s) / max(l2_norm(p.v1), 1e-12)
     return ControlSolution(
         times=times,
         fields=fields,
@@ -407,20 +413,16 @@ def observability_constant(
     Builds O = int_0^T W(t)* (D^{delta/2} G)* (D^{delta/2} G) W(t) dt on the
     mean-zero truncation and returns c_obs = 1 / min-eigenvalue, normalized
     so that ||v0||^2 <= c_obs * observed energy.  Energy balance forces
-    c_obs > 2.  Built in the loop's real form, so the minimizing state is a
-    real field by construction.  O comes in closed form
+    c_obs > 2.  G is Hermitian, so the observed energy's weight
+    (D^{delta/2} G)* (D^{delta/2} G) = G D^delta G is the loop's feedback
+    matrix, read from the loop.  Built in the loop's real form, so the
+    minimizing state is a real field by construction.  O comes in closed form
     (`_observability_gramian`) from the loop's cached eigenbasis, which the
     abscissa of `decay_rate_predict` also reads; the tests hold it against
     the Pade block exponential of `_propagated_gramian`.
     """
     loop = build_closed_loop(table, profile, n_modes)
-    band = n_modes + profile.k_modes
-    rows = np.arange(-band, band + 1)
-    c_mat = np.abs(rows).astype(np.float64)[:, None] ** (0.5 * profile.delta) * gain_matrix(
-        profile, rows, loop.modes
-    )
-    # O = int e^{tA^T} Q e^{tA} dt with Q = C^T C, both in the real form
-    q = _real_form(c_mat.conj().T @ c_mat, n_modes)
+    q = _real_form(loop.damping_matrix, n_modes)
     eigvals, eigvecs = np.linalg.eigh(_observability_gramian(loop.eigenbasis, q, horizon))
     lam_min = float(eigvals[0])
     if lam_min <= 0:

@@ -114,29 +114,26 @@ def make_profile_global(delta: float) -> DampingProfile:
     return DampingProfile(delta=delta, ghat=np.array([1.0 / TWO_PI + 0j]), support="global")
 
 
-def make_profile_bump(
-    a: float,
-    b: float,
-    n_modes: int,
-    delta: float,
-    grid_m: int | None = None,
-    neg_tol: float = 1e-5,
-) -> DampingProfile:
+# relative depth, against its peak, to which a truncated bump gain may dip below zero
+_NEG_TOL = 1e-5
+
+
+def make_profile_bump(a: float, b: float, n_modes: int, delta: float) -> DampingProfile:
     """Raised-cosine-squared gain supported in (a, b), truncated to n_modes.
 
     The closed form c0 * (1 + cos(2 pi (x - xc)/(b - a)))^2 is sampled,
     transformed, truncated, and rescaled so ghat(0) = 1/(2 pi) exactly.
     Bandwidth truncation makes the profile slightly sign-indefinite; the
-    synthesis fails if it dips below -neg_tol times its peak.
+    synthesis fails if it dips below -1e-5 (`_NEG_TOL`) times its peak on a
+    grid of at least 1024 and at least 8 n_modes points.
     """
     if not 0.0 <= a < b <= TWO_PI:
         raise ProfileError(f"invalid support ({a}, {b}): need 0 <= a < b <= 2 pi")
     if n_modes < 1:
         raise ProfileError("need at least one gain mode")
-    if grid_m is None:
-        grid_m = 1024
-        while grid_m < 8 * n_modes:
-            grid_m *= 2
+    grid_m = 1024
+    while grid_m < 8 * n_modes:
+        grid_m *= 2
     x = TWO_PI * np.arange(grid_m) / grid_m
     xc = 0.5 * (a + b)
     stretch = TWO_PI / (b - a)
@@ -154,7 +151,7 @@ def make_profile_bump(
     profile = DampingProfile(delta=delta, ghat=ghat, support=(a, b))
     g_grid = to_grid(gain_field(profile), grid_m).values
     peak = g_grid.max()
-    if g_grid.min() < -neg_tol * peak:
+    if g_grid.min() < -_NEG_TOL * peak:
         raise TruncationError(
             f"truncated gain dips to {g_grid.min():.3e} (peak {peak:.3e}); increase n_modes"
         )

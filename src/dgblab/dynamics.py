@@ -20,7 +20,6 @@ from . import damping as dmp
 from .damping import DampingProfile, feedback_matrix
 from .errors import BlowUpError, DgbError, ProfileError
 from .spectral import (
-    TWO_PI,
     SpectralField,
     conjugate_extend,
     constant_field,
@@ -149,67 +148,69 @@ def field_to_state(v: SpectralField, n_modes: int) -> np.ndarray:
     return np.concatenate([c[:n_modes], c[n_modes + 1 :]])
 
 
-def state_to_field(state: np.ndarray, n_modes: int, mean_value: float = 0.0) -> SpectralField:
-    c = np.zeros(2 * n_modes + 1, dtype=np.complex128)
-    c[:n_modes] = state[:n_modes]
-    c[n_modes] = mean_value
-    c[n_modes + 1 :] = state[n_modes:]
-    return SpectralField(n_modes, c)
-
-
 def _real_coords(v: SpectralField, n_modes: int) -> np.ndarray:
     """Interleaved (Re, Im) of the modes 1..N: the coordinates `_real_form` acts on."""
     return v.with_cutoff(n_modes).coeffs[n_modes + 1 :].view(np.float64)
 
 
-def _real_field(x: np.ndarray, n_modes: int) -> SpectralField:
-    """The mean-zero real field whose modes 1..N have interleaved (Re, Im) x."""
-    pos = x[0::2] + 1j * x[1::2]
-    return SpectralField(n_modes, np.concatenate([np.conj(pos[::-1]), [0.0], pos]))
+def _real_field(x: np.ndarray, n_modes: int, mean: float = 0.0) -> SpectralField:
+    """The real field with mean `mean` whose modes 1..N have interleaved (Re, Im) x.
+
+    Built from its half spectrum through `conjugate_extend`.
+    """
+    return SpectralField(n_modes, conjugate_extend(np.concatenate([[mean], x[0::2] + 1j * x[1::2]])))
 
 
 def linear_propagate(loop: LinearClosedLoop, v0: SpectralField, t: float) -> SpectralField:
-    """Matrix-exponential action of the closed loop; contraction asserted."""
+    """Matrix-exponential action of the closed loop; contraction asserted.
+
+    Steps the real form: the Pade exponential of t times `loop.real_generator`
+    acts on the modes 1..N of v0, the mean is carried over, and the output
+    is real by construction.
+    """
     if t < 0:
         raise ValueError("backward-time propagation rejected")
-    state = field_to_state(v0, loop.n_modes)
-    out = _expm(t * loop.generator) @ state
-    n_in = np.linalg.norm(state)
-    if np.linalg.norm(out) > n_in * (1.0 + 1e-10) + 1e-300:
+    x0 = _real_coords(v0, loop.n_modes)
+    x = _expm(t * loop.real_generator) @ x0
+    if np.linalg.norm(x) > np.linalg.norm(x0) * (1.0 + 1e-10) + 1e-300:
         raise DgbError("closed-loop propagation violated the contraction bound")
-    return state_to_field(out, loop.n_modes, mean_value=mean(v0))
+    return _real_field(x, loop.n_modes, mean(v0))
 
 
 def linear_trajectory(
     loop: LinearClosedLoop, v0: SpectralField, t_final: float, dt: float
 ) -> TrajectoryRecord:
-    """Step the closed loop with one precomputed exponential per dt."""
+    """Step the closed loop's real form with one precomputed exponential per dt.
+
+    The recorded fields carry the mean of v0, and `l2norms` are their
+    fluctuation norms.
+    """
     if dt <= 0 or t_final <= 0:
         raise ValueError("need positive dt and t_final")
     n_steps = max(1, round(t_final / dt))
     dt_eff = t_final / n_steps
-    stepper = _expm(dt_eff * loop.generator)
+    stepper = _expm(dt_eff * loop.real_generator)
     mu = mean(v0)
-    state = field_to_state(v0, loop.n_modes)
-    times = [0.0]
-    states = [state_to_field(state, loop.n_modes, mu)]
-    norms = [np.sqrt(TWO_PI) * np.linalg.norm(state)]
-    for i in range(n_steps):
-        state = stepper @ state
-        times.append((i + 1) * dt_eff)
-        states.append(state_to_field(state, loop.n_modes, mu))
-        norms.append(np.sqrt(TWO_PI) * np.linalg.norm(state))
+    x = _real_coords(v0, loop.n_modes)
+    states = [_real_field(x, loop.n_modes, mu)]
+    for _ in range(n_steps):
+        x = stepper @ x
+        states.append(_real_field(x, loop.n_modes, mu))
     return TrajectoryRecord(
-        times=np.array(times),
+        times=dt_eff * np.arange(n_steps + 1),
         states=tuple(states),
-        l2norms=np.array(norms),
-        means=np.full(len(times), mu),
+        l2norms=np.array([_fluctuation_norm(s) for s in states]),
+        means=np.full(n_steps + 1, mu),
         energy_residuals=None,
         run_meta={"kind": "linear", "dt": dt_eff, "n_modes": loop.n_modes},
     )
 
 
-def _etdrk4_weights(z: np.ndarray, contour_points: int = 64) -> tuple:
+# quadrature points on the unit circle of the small-|z| stage weights
+_CONTOUR_POINTS = 64
+
+
+def _etdrk4_weights(z: np.ndarray) -> tuple:
     """The four phi-combinations of the Cox-Matthews scheme, as functions of z.
 
     Direct formulas cancel catastrophically for small |z| (the numerators
@@ -235,7 +236,7 @@ def _etdrk4_weights(z: np.ndarray, contour_points: int = 64) -> tuple:
         for o, v in zip(out, vals):
             o[~small] = v
     if np.any(small):
-        theta = np.exp(2j * np.pi * (np.arange(contour_points) + 0.5) / contour_points)
+        theta = np.exp(2j * np.pi * (np.arange(_CONTOUR_POINTS) + 0.5) / _CONTOUR_POINTS)
         ring = z[small][:, None] + theta[None, :]
         vals = direct(ring)
         for o, v in zip(out, vals):
@@ -414,13 +415,12 @@ def simulate(
     record_every: int = 1,
     energy_tol: float | None = None,
     max_halvings: int = 4,
-    run_meta: dict | None = None,
 ) -> TrajectoryRecord:
     """Integrate to t_final, recording diagnostics every record_every steps.
 
     When energy_tol is given, the run is repeated with halved dt until the
     worst energy-identity residual is below tolerance.  Divergence raises,
-    carrying the last valid time.  `run_meta` gains the effective dt, the
+    carrying the last valid time.  `run_meta` records the effective dt, the
     step count and the spectral abscissa of the generator that was stepped.
     `forcing`, when given, maps t to the coefficients k = 0..N of the forcing
     (the negative modes are their conjugates).  It must be a pure function of
@@ -431,7 +431,7 @@ def simulate(
         raise ValueError("t_final must be positive")
     dt_try = dt
     for attempt in range(max_halvings + 1):
-        record = _run_once(table, profile, v0, t_final, dt_try, forcing, record_every, run_meta)
+        record = _run_once(table, profile, v0, t_final, dt_try, forcing, record_every)
         if energy_tol is None or record.energy_residuals is None:
             return record
         worst = np.nanmax(np.abs(record.energy_residuals))
@@ -442,7 +442,7 @@ def simulate(
     return record
 
 
-def _run_once(table, profile, v0, t_final, dt, forcing, record_every, run_meta) -> TrajectoryRecord:
+def _run_once(table, profile, v0, t_final, dt, forcing, record_every) -> TrajectoryRecord:
     n = v0.n_modes
     n_steps = max(1, round(t_final / dt))
     dt_eff = t_final / n_steps
@@ -468,16 +468,13 @@ def _run_once(table, profile, v0, t_final, dt, forcing, record_every, run_meta) 
             times.append(t)
             states.append(SpectralField(n, coeffs.copy()))
 
-    meta = dict(run_meta or {})
-    meta.update(
-        {
-            "dt": dt_eff,
-            "n_steps": n_steps,
-            "n_modes": n,
-            "record_every": record_every,
-            "spectral_abscissa": stepper.spectral_abscissa,
-        }
-    )
+    meta = {
+        "dt": dt_eff,
+        "n_steps": n_steps,
+        "n_modes": n,
+        "record_every": record_every,
+        "spectral_abscissa": stepper.spectral_abscissa,
+    }
     record = TrajectoryRecord(
         times=np.array(times),
         states=tuple(states),

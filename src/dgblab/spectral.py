@@ -4,9 +4,10 @@ Convention: a field is v(x) = sum_k vhat(k) e^{ikx} with coefficients stored
 for k in {-N, ..., N}.  Fields are real-valued, so the coefficient array is
 kept exactly Hermitian-symmetric (vhat(-k) == conj(vhat(k))) with a real
 k = 0 entry.  The half spectrum of a field is its coefficients k = 0..N, the
-negative modes being their conjugates; the integrator steps it, and
-`transport` and `conjugate_extend` are the kernels on it.  Norms use the
-weighted convention
+negative modes being their conjugates.  It is the one format a real field
+is built from: the grid transforms, the integrator and the reference
+propagators produce a half spectrum and `conjugate_extend` it, and
+`transport` is the kernel on it.  Norms use the weighted convention
 
     norm(v, s)^2 = 2*pi * sum_k (1 + |k|)^{2s} |vhat(k)|^2,
 
@@ -126,37 +127,34 @@ class GridField:
         return cls(f(TWO_PI * np.arange(m) / m))
 
 
+def conjugate_extend(half: np.ndarray) -> np.ndarray:
+    """The coefficients -N..N of the real field whose half spectrum is `half`."""
+    return np.concatenate([np.conj(half[:0:-1]), half])
+
+
 def to_spectral(grid: GridField, n_modes: int) -> SpectralField:
     """Discrete Fourier coefficients of grid samples, cut off at |k| <= n_modes.
 
-    Requires M >= 2N+1 so that no represented mode is aliased.
+    Requires M >= 2N+1 so that no represented mode is aliased.  The half
+    spectrum k = 0..N is read off the DFT and conjugate-extended, so the
+    field is real by construction.
     """
     m = grid.m
     if m < 2 * n_modes + 1:
         raise AliasingError(f"need at least {2 * n_modes + 1} grid points for cutoff {n_modes}, got {m}")
-    c = np.fft.fft(grid.values) / m
-    full = np.empty(2 * n_modes + 1, dtype=np.complex128)
-    pos = c[: n_modes + 1]
-    full[n_modes:] = pos
-    full[:n_modes] = np.conj(pos[1:][::-1])
-    full[n_modes] = full[n_modes].real
-    return SpectralField(n_modes, full)
+    return SpectralField(n_modes, conjugate_extend(np.fft.fft(grid.values)[: n_modes + 1] / m))
 
 
 def to_grid(v: SpectralField, m_points: int) -> GridField:
-    """Evaluate the field on M >= 2N+1 collocation points."""
+    """Evaluate the field on M >= 2N+1 collocation points.
+
+    The values are the inverse real DFT of the half spectrum, real by
+    construction.
+    """
     n = v.n_modes
     if m_points < 2 * n + 1:
         raise AliasingError(f"need at least {2 * n + 1} grid points for cutoff {n}, got {m_points}")
-    buf = np.zeros(m_points, dtype=np.complex128)
-    buf[: n + 1] = v.coeffs[n:]
-    if n > 0:
-        buf[m_points - n :] = v.coeffs[:n]
-    vals = np.fft.ifft(buf) * m_points
-    scale = 1.0 + float(np.abs(vals.real).max(initial=0.0))
-    if float(np.abs(vals.imag).max(initial=0.0)) > 1e-12 * scale:
-        raise HermitianSymmetryError("imaginary residue above 1e-12; coefficients not conjugate-symmetric")
-    return GridField(vals.real)
+    return GridField(np.fft.irfft(v.half, m_points) * m_points)
 
 
 def apply_multiplier(v: SpectralField, symbol) -> SpectralField:
@@ -189,11 +187,6 @@ def _transport_grid(n: int) -> tuple:
     ik = 1j * m * np.arange(n + 1)
     ik.setflags(write=False)
     return m, ik
-
-
-def conjugate_extend(half: np.ndarray) -> np.ndarray:
-    """The coefficients -N..N of the real field whose half spectrum is `half`."""
-    return np.concatenate([np.conj(half[:0:-1]), half])
 
 
 def transport(half: np.ndarray) -> np.ndarray:

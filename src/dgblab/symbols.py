@@ -125,9 +125,6 @@ class MultiplicityReport:
     simple_beyond: int
     tol: float
 
-    def representatives(self):
-        return [c.representative for c in self.classes]
-
     def class_of(self, k: int) -> EigenvalueClass:
         for c in self.classes:
             if k in c.members:
@@ -138,31 +135,25 @@ class MultiplicityReport:
 def multiplicity_scan(table: SymbolTable, tol: float = 0.0) -> MultiplicityReport:
     """Partition {-N..N} into classes of equal lam(k).
 
-    tol = 0 groups by exact float equality; tol > 0 chains values whose
-    consecutive sorted gaps are <= tol.  Raises if a class exceeds the
-    multiplicity bound of 5, which would falsify the structural assumption
-    and must never happen for admissible parameters.
+    Values whose consecutive sorted gaps are <= tol are chained into one
+    class, so tol = 0 groups by exact float equality.  At tol = 0, raises if
+    a class exceeds the multiplicity bound of 5, which would falsify the
+    structural assumption and must never happen for admissible parameters.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     ks = table.wavenumbers
     lam = table.lam
     groups: list[list[int]] = []
-    if tol == 0.0:
-        buckets: dict[float, list[int]] = {}
-        for k, val in zip(ks, lam):
-            buckets.setdefault(float(val), []).append(int(k))
-        groups = list(buckets.values())
-    else:
-        order = np.argsort(lam, kind="stable")
-        current = [int(ks[order[0]])]
-        for prev, cur in zip(order[:-1], order[1:]):
-            if lam[cur] - lam[prev] <= tol:
-                current.append(int(ks[cur]))
-            else:
-                groups.append(current)
-                current = [int(ks[cur])]
-        groups.append(current)
+    order = np.argsort(lam, kind="stable")
+    current = [int(ks[order[0]])]
+    for prev, cur in zip(order[:-1], order[1:]):
+        if lam[cur] - lam[prev] <= tol:
+            current.append(int(ks[cur]))
+        else:
+            groups.append(current)
+            current = [int(ks[cur])]
+    groups.append(current)
 
     classes = []
     for members in groups:
@@ -197,22 +188,19 @@ class GapReport:
     rows: tuple
     threshold: int | None
 
-    def all_pass_from(self, k: int) -> bool:
-        return all(r.passed for r in self.rows if r.k >= k)
 
-
-def gap_check(table: SymbolTable, k_min: int = 1) -> GapReport:
+def gap_check(table: SymbolTable) -> GapReport:
     """Compare consecutive gaps lam(k) - lam(k+1) with alpha*(m-r)*k^{2r}.
 
-    Rows cover k_min <= k <= N-1.  `threshold` is the smallest k from which
+    Rows cover 1 <= k <= N-1.  `threshold` is the smallest k from which
     every row passes (None if the final row fails); small-k failures are
     expected and reported, not errors.
     """
-    if not 1 <= k_min < table.n_modes:
-        raise ValueError("need 1 <= k_min < n_modes")
+    if table.n_modes < 2:
+        raise ValueError("need n_modes >= 2")
     p = table.params
     rows = []
-    for k in range(k_min, table.n_modes):
+    for k in range(1, table.n_modes):
         gap = float(table.eig(k) - table.eig(k + 1))
         bound = p.alpha * (p.m - p.r) * float(k) ** (2.0 * p.r)
         rows.append(GapRow(k, gap, bound, gap > bound))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dgblab.damping import make_profile_bump, make_profile_global
 from dgblab.dynamics import (
@@ -142,6 +143,19 @@ class TestClosedLoop:
         loop = build_closed_loop(table, bump, 16)
         rng = np.random.default_rng(5)
         rec = linear_trajectory(loop, random_field(16, rng), 10.0, 0.1)
+        assert np.all(np.diff(rec.l2norms) <= 1e-12)
+
+    def test_real_form_propagators_accept_long_horizons(self, table, bump):
+        # the propagated fields must be real by construction: at these horizons a
+        # result conjugate-symmetric only to rounding fails the field constructor
+        for n, t in ((64, 1.0), (32, 5.0)):
+            loop = build_closed_loop(build_symbols(BENJAMIN, n), bump, n)
+            v = random_field(n, np.random.default_rng(3))
+            expected = scipy.linalg.expm(t * loop.generator) @ field_to_state(v, n)
+            got = field_to_state(linear_propagate(loop, v, t), n)
+            assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+        loop = build_closed_loop(table, bump, 16)
+        rec = linear_trajectory(loop, random_field(16, np.random.default_rng(3)), 50.0, 0.5)
         assert np.all(np.diff(rec.l2norms) <= 1e-12)
 
 
