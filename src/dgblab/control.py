@@ -4,11 +4,10 @@ Two steering routes are kept deliberately separate so each can certify the
 other: a minimum-norm Gramian construction on the damped closed loop, and
 per-mode closed forms available when the gain is constant.  The Gramian
 route runs in the closed loop's real form, so its controls are real fields
-with no projection; it is synthesized through a Pade block exponential and
-certified by a closed form of the controlled flow in the loop's eigenbasis.
-The observability Gramian takes the same closed form from the same cached
-eigenbasis; only the Pade exponential (`dynamics._expm`) loads scipy, on
-first use, so importing the package does not.
+with no projection; it is synthesized through a Pade block exponential
+(`dynamics._expm`, numpy only) and certified by a closed form of the
+controlled flow in the loop's eigenbasis.  The observability Gramian takes
+the same closed form from the same cached eigenbasis.
 The nonlinear steering for the constant gain rides on an exactly controlled
 linear trajectory whose transport term is re-injected through the gain, and
 is certified by re-simulating the forced nonlinear system.  That forcing is
@@ -173,8 +172,8 @@ def _propagated_gramian(a_mat, q, horizon):
     from the dispersive oscillation; the plain quadrature alternative needs
     node counts proportional to |lam|_max * T.  Real A and Q stay real.
     Returns the Gramian and the flow e^{TA}.  Serves the steering synthesis,
-    and the tests as an oracle for the eigenbasis Gramians, which it shares
-    no factorization with.
+    and the tests as an oracle for the eigenbasis Gramians: the numpy Pade
+    route (`dynamics._expm`) shares no factorization with them.
     """
     dim = a_mat.shape[0]
     block = np.zeros((2 * dim, 2 * dim), dtype=np.result_type(a_mat, q))
@@ -195,9 +194,10 @@ def _certify_linear(eigenbasis, b_mat, xi, v0_state, horizon):
         v(T) = V (e^{T mu} V^{-1} v0 + (Gamma o C C^T) V^T xi),   C = V^{-1} B,
 
     where Gamma_ij = int_0^T e^{(mu_i + mu_j) s} ds (Van Loan, IEEE TAC 1978).
-    Independent of the synthesis, which goes through the Pade `expm` of
-    `_propagated_gramian`: this route is the loop's LAPACK eigenbasis and
-    entrywise exponentials.
+    Independent of the synthesis, which goes through the numpy Pade `expm`
+    of `_propagated_gramian` (a rational function of the block and one
+    linear solve): this route is the loop's LAPACK eigenbasis and entrywise
+    exponentials.
     """
     mu, vecs, inv = eigenbasis
     c = inv @ b_mat

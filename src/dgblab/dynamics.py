@@ -131,16 +131,41 @@ def _eigenbasis(mat: np.ndarray) -> tuple:
     return mu, vecs, np.linalg.inv(vecs)
 
 
+# Pade(13) coefficients b_0..b_13 and the 1-norm theta_13 up to which it
+# needs no scaling (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA_13 = 5.371920351148152
+
+
 def _expm(mat: np.ndarray) -> np.ndarray:
-    """Pade matrix exponential: `scipy.linalg.expm`, the package's only use of scipy.
+    """Matrix exponential by scaling and squaring of the degree-13 Pade approximant.
 
-    scipy.linalg is imported on the first call, not with the package, and
-    `expm` is looked up on every call, so a wrapper installed on
-    `scipy.linalg.expm` sees every use.
+    Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005: scale by 2^-s so the
+    1-norm is at most theta_13, evaluate r = (V - U)^{-1} (V + U) from the
+    even powers X^2, X^4, X^6, then square s times.  Real input gives a real
+    result; a non-finite entry raises DgbError.
     """
-    import scipy.linalg
-
-    return scipy.linalg.expm(mat)
+    norm = np.linalg.norm(mat, 1)
+    if not np.isfinite(norm):
+        raise DgbError("matrix exponential of a matrix with non-finite entries")
+    s = int(np.ceil(np.log2(norm / _THETA_13))) if norm > _THETA_13 else 0
+    b = _PADE13
+    x = mat / 2.0**s
+    ident = np.eye(x.shape[0], dtype=x.dtype)
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    odd = x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident
+    u = x @ odd
+    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def field_to_state(v: SpectralField, n_modes: int) -> np.ndarray:

@@ -379,9 +379,9 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_cli_loads_scipy_only_for_the_pade_exponential():
-    # observing and stabilizing run on numpy alone; the Pade expm of linear
-    # steering is the one place scipy is imported, on first use
+def test_cli_runs_on_numpy_alone():
+    # every experiment, linear steering's Pade expm included, runs without
+    # importing scipy
     env = dict(os.environ)
     src = str(Path(dgblab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -389,11 +389,15 @@ def test_cli_loads_scipy_only_for_the_pade_exponential():
         "import contextlib, io, sys, tempfile\n"
         "from dgblab.cli import main\n"
         "print('import', 'scipy' in sys.modules)\n"
-        "for name in ('observability', 'stabilize', 'control-linear'):\n"
+        "bump = ['profile.kind=bump', 'profile.modes=64', 'grid.n=8', 'time.t_final=0.1']\n"
+        "runs = {'observability': bump, 'stabilize': bump, 'control-linear': bump,\n"
+        "        'control-nonlinear': ['grid.n=8', 'time.t_final=0.1'], 'lemmas': ['grid.n=16']}\n"
+        "for name, overrides in runs.items():\n"
+        "    args = [name]\n"
+        "    for item in overrides:\n"
+        "        args += ['--override', item]\n"
         "    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):\n"
-        "        code = main([name, '--out', out, '--override', 'profile.kind=bump',\n"
-        "                     '--override', 'profile.modes=64', '--override', 'grid.n=8',\n"
-        "                     '--override', 'time.t_final=0.1'])\n"
+        "        code = main(args + ['--out', out])\n"
         "    print(name, code, 'scipy' in sys.modules)\n"
     )
     out = subprocess.run(
@@ -408,7 +412,9 @@ def test_cli_loads_scipy_only_for_the_pade_exponential():
         "import False",
         "observability 0 False",
         "stabilize 0 False",
-        "control-linear 0 True",
+        "control-linear 0 False",
+        "control-nonlinear 0 False",
+        "lemmas 0 False",
     ]
 
 

@@ -7,6 +7,7 @@ import scipy.linalg
 from dgblab.damping import make_profile_bump, make_profile_global
 from dgblab.dynamics import (
     TrajectoryRecord,
+    _expm,
     build_closed_loop,
     decay_fit,
     energy_residual,
@@ -18,6 +19,7 @@ from dgblab.dynamics import (
     simulate,
     simulate_damped,
 )
+from dgblab.errors import DgbError
 from dgblab.spectral import (
     SpectralField,
     constant_field,
@@ -157,6 +159,43 @@ class TestClosedLoop:
         loop = build_closed_loop(table, bump, 16)
         rec = linear_trajectory(loop, random_field(16, np.random.default_rng(3)), 50.0, 0.5)
         assert np.all(np.diff(rec.l2norms) <= 1e-12)
+
+    def test_infinite_horizon_is_a_numerical_failure(self, table, bump):
+        loop = build_closed_loop(table, bump, 8)
+        with pytest.raises(DgbError):
+            linear_propagate(loop, random_field(8, np.random.default_rng(3)), np.inf)
+
+
+class TestExpm:
+    # scipy.linalg.expm is the oracle; below theta_13 = 5.37 no squaring happens
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("norm, bound", [(0.1, 1e-14), (5.0, 1e-14), (50.0, 1e-12), (1e3, 1e-12)])
+    def test_matches_scipy_on_random_matrices(self, dtype, norm, bound):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            a = rng.standard_normal((20, 20))
+            if dtype is np.complex128:
+                a = a + 1j * rng.standard_normal((20, 20))
+            a *= norm / np.linalg.norm(a, 1)
+            expected = scipy.linalg.expm(a)
+            assert np.linalg.norm(_expm(a) - expected) <= bound * np.linalg.norm(expected)
+
+    def test_zero_gives_identity(self):
+        np.testing.assert_allclose(_expm(np.zeros((6, 6))), np.eye(6), rtol=0, atol=1e-15)
+
+    def test_diagonal(self):
+        d = np.array([-3.0, 0.5, 2j])
+        np.testing.assert_allclose(_expm(np.diag(d)), np.diag(np.exp(d)), rtol=0, atol=1e-15)
+
+    def test_real_stays_real(self):
+        a = np.random.default_rng(1).standard_normal((10, 10))
+        assert _expm(a).dtype == np.float64
+        assert _expm(7.0 * a).dtype == np.float64
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_non_finite_entry_raises(self, entry):
+        with pytest.raises(DgbError):
+            _expm(np.array([[1.0, entry], [0.0, 1.0]]))
 
 
 class TestStageWeights:
