@@ -298,9 +298,22 @@ def _real_form(a: np.ndarray, n_modes: int) -> np.ndarray:
     return out.reshape(2 * n, 2 * n)
 
 
-def _real_matvec(mat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Apply a real matrix on interleaved (Re, Im) pairs to the complex vector u."""
-    return (mat @ u.view(np.float64)).view(np.complex128)
+def _real_matvec(mat: np.ndarray, *vecs: np.ndarray) -> np.ndarray:
+    """Apply real matrices on interleaved (Re, Im) pairs to complex vectors, summed.
+
+    `mat` is the blocks [W_1 | ... | W_j] side by side, so one product
+    forms W_1 vecs[0] + ... + W_j vecs[j - 1].
+    """
+    x = vecs[0] if len(vecs) == 1 else np.concatenate(vecs)
+    return (mat @ x.view(np.float64)).view(np.complex128)
+
+
+def _diagonal_matvec(weights: tuple, *vecs: np.ndarray) -> np.ndarray:
+    """The diagonal counterpart of `_real_matvec`: w_1 * vecs[0] + ... + w_j * vecs[j - 1]."""
+    out = weights[0] * vecs[0]
+    for w, v in zip(weights[1:], vecs[1:]):
+        out = out + w * v
+    return out
 
 
 class Etdrk4Integrator:
@@ -311,13 +324,18 @@ class Etdrk4Integrator:
     the loop's eigenbasis of its real form, eigenvalues scaled by dt.
     For profile=None (the undamped equation) or the constant gain the
     generator is diagonal, i lam(k) - d(k), and the phi-functions act
-    modewise.  Explicit part: the dealiased transport term (`spectral.transport`)
-    and optional forcing, a callable of t returning the coefficients
-    k = 0..N that are added to the right-hand side.  The forcing must be a
-    pure function of t: the integrator evaluates it once per distinct stage
-    time (the two midpoint stages share one value, and a step ending at the
-    next step's start time hands its last value on), and it does not mutate
-    the returned array.
+    modewise.  When the feedback couples modes, the phi-functions are real
+    matrices on the interleaved (Re, Im) pairs of k = 0..N (size S = 2N+2),
+    and the weights that act together are stored side by side: the c-stage
+    is one product of [e_half | q] (S x 2S) and the final combination one
+    product of [e_full | f1 | f2 | f3] (S x 4S), so a step makes five
+    matrix-vector products.  Explicit part: the dealiased transport term
+    (`spectral.transport`) and optional forcing, a callable of t returning
+    the coefficients k = 0..N that are added to the right-hand side.  The
+    forcing must be a pure function of t: the integrator evaluates it once
+    per distinct stage time (the two midpoint stages share one value, and a
+    step ending at the next step's start time hands its last value on), and
+    it does not mutate the returned array.
 
     The stepper works on the coefficients k = 0..N; the negative modes are
     their conjugates, so every step returns a real field, and the mean k = 0
@@ -355,16 +373,22 @@ class Etdrk4Integrator:
             eigs, vecs, inv = loop.eigenbasis
             eigs = dt * eigs
             size = 2 * n_modes + 2
+            # each weight is written into its block of the side-by-side
+            # matrices; the a- and b-stages apply the blocks e_half and q alone
+            self._stage_c = np.zeros((size, 2 * size))
+            self._final = np.zeros((size, 4 * size))
+            self._e_half, self._q = np.hsplit(self._stage_c, 2)
+            e_full, f1, f2, f3 = np.hsplit(self._final, 4)
 
-            def to_matrix(w, mean_entry=0.0):
+            def fill(block, w, mean_entry=0.0):
                 # the mean pair (Re, Im of k = 0) is held apart from the eigenbasis
-                out = np.zeros((size, size))
-                out[2:, 2:] = ((vecs * w) @ inv).real
-                out[0, 0] = out[1, 1] = mean_entry
-                return out
+                block[2:, 2:] = ((vecs * w) @ inv).real
+                block[0, 0] = block[1, 1] = mean_entry
 
-            e_full, e_half = to_matrix(np.exp(eigs), 1.0), to_matrix(np.exp(eigs / 2.0), 1.0)
-            phis = [to_matrix(dt * w) for w in _etdrk4_weights(eigs)]
+            fill(e_full, np.exp(eigs), 1.0)
+            fill(self._e_half, np.exp(eigs / 2.0), 1.0)
+            for block, w in zip((self._q, f1, f2, f3), _etdrk4_weights(eigs)):
+                fill(block, dt * w)
             self._apply = _real_matvec
         else:
             lam = table.eig(ks)
@@ -372,12 +396,13 @@ class Etdrk4Integrator:
             z = (1j * lam - d) * dt
             z[0] = 0.0
             e_full, e_half = np.exp(z), np.exp(z / 2.0)
-            phis = [dt * w for w in _etdrk4_weights(z)]
+            q, f1, f2, f3 = [dt * w for w in _etdrk4_weights(z)]
             self.generator = None
             self.spectral_abscissa = float(-d[1:].min(initial=np.inf))
-            self._apply = np.multiply
-        self._e_full, self._e_half = e_full, e_half
-        self._q, self._f1, self._f2, self._f3 = phis
+            self._stage_c = (e_half, q)
+            self._final = (e_full, f1, f2, f3)
+            self._e_half, self._q = (e_half,), (q,)
+            self._apply = _diagonal_matvec
 
     def nonlinearity(self, u: np.ndarray, t: float) -> np.ndarray:
         """Explicit term on the coefficients k = 0..N; its mean entry is zero."""
@@ -402,14 +427,9 @@ class Etdrk4Integrator:
         na = self.nonlinearity(a, t_mid)
         b = eu + lin(self._q, na)
         nb = self.nonlinearity(b, t_mid)
-        c = lin(self._e_half, a) + lin(self._q, 2.0 * nb - nv)
+        c = lin(self._stage_c, a, 2.0 * nb - nv)
         nc = self.nonlinearity(c, t_end)
-        out = (
-            lin(self._e_full, u)
-            + lin(self._f1, nv)
-            + 2.0 * lin(self._f2, na + nb)
-            + lin(self._f3, nc)
-        )
+        out = lin(self._final, u, nv, 2.0 * (na + nb), nc)
         return conjugate_extend(out)
 
 
@@ -474,8 +494,9 @@ def _run_once(table, profile, v0, t_final, dt, forcing, record_every) -> Traject
     stepper = Etdrk4Integrator(table, profile, n, dt_eff, forcing)
 
     coeffs = v0.coeffs.copy()
-    norm0_sq = max(float(np.sum(np.abs(coeffs) ** 2)), 1e-300)
-    blow_limit = 1e12 * norm0_sq
+    # floored at an absolute scale, so that a forced run from rest does not
+    # count its first step as a blow-up
+    blow_limit = 1e12 * max(float(np.sum(np.abs(coeffs) ** 2)), 1.0)
 
     times = [0.0]
     states = [SpectralField(n, coeffs.copy())]

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 from .errors import AliasingError, HermitianSymmetryError
 
@@ -177,14 +178,15 @@ def derivative_x(v: SpectralField) -> SpectralField:
 
 @lru_cache(maxsize=None)
 def _transport_grid(n: int) -> tuple:
-    """Grid size M and scaled multiplier i k M (k = 0..n) of `transport`, memoised per cutoff.
+    """Grid size M and scaled multiplier i k / M (k = 0..n) of `transport`, memoised per cutoff.
 
-    M is the smallest power of two, at least 8, with M >= 3n+1.
+    M is the smallest power of two, at least 8, with M >= 3n+1, so the
+    scaling by 1/M is exact.
     """
     m = 8
     while m < 3 * n + 1:
         m *= 2
-    ik = 1j * m * np.arange(n + 1)
+    ik = 1j * np.arange(n + 1) / m
     ik.setflags(write=False)
     return m, ik
 
@@ -195,13 +197,20 @@ def transport(half: np.ndarray) -> np.ndarray:
     The square is formed pointwise on a grid with M >= 3N+1 points, which
     makes the retained coefficients k <= N alias-free, then truncated and
     differentiated.  The k = 0 output vanishes identically.
+
+    The transforms are numpy's pocketfft gufuncs, the kernels `np.fft.irfft`
+    and `np.fft.rfft` wrap, called without the wrappers' argument handling
+    (hence numpy >= 2.0, < 3).  The output buffers are allocated per call,
+    so concurrent calls share nothing.
     """
     n = half.size - 1
     m, ik = _transport_grid(n)
-    # the grid values are M irfft(half, M) and the square's coefficients
-    # rfft(w) / M, so the multiplier i k M carries both scalings
-    vals = np.fft.irfft(half, m)
-    return ik * np.fft.rfft(vals * vals)[: n + 1]
+    # both transforms are unscaled: the inverse gives the grid values v(x_j)
+    # and the forward M times the square's coefficients, so the multiplier
+    # i k / M carries the one scaling
+    vals = _pocketfft_umath.irfft(half, 1.0, out=np.empty(m))
+    square = _pocketfft_umath.rfft_n_even(vals * vals, 1.0, out=np.empty(m // 2 + 1, np.complex128))
+    return ik * square[: n + 1]
 
 
 def nonlinear_term(v: SpectralField) -> SpectralField:

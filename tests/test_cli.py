@@ -283,6 +283,25 @@ class TestMainEntry:
         manifest = json.loads((tmp_path / "steer" / "manifest.json").read_text())
         assert manifest["summary"]["terminal_error"] <= 1e-6
 
+    def test_control_nonlinear_from_rest(self, tmp_path, capsys):
+        # a forced run from v0 = 0 used to count its first step as a blow-up (exit 3)
+        code = main(
+            [
+                "control-nonlinear",
+                "--out",
+                str(tmp_path / "rest"),
+                "--override",
+                "grid.n=16",
+                "--override",
+                "control.u0_amplitude=0",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        manifest = json.loads((tmp_path / "rest" / "manifest.json").read_text())
+        assert manifest["summary"]["terminal_error"] <= 1e-6
+
     def test_config_file_and_seed_flag(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text(STABILIZE_CFG)

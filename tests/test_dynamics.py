@@ -309,6 +309,38 @@ class TestIntegrator:
             expected = -nonlinear_term(v).coeffs[n:]
             assert np.abs(got - expected).max() < 1e-13
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_stacked_step_matches_unstacked_formula(self, bump, n):
+        # the step forms the c-stage and the final combination as single
+        # products of side-by-side weights; the reference is Cox-Matthews'
+        # combination with one matrix-vector product per weight
+        from dgblab.dynamics import Etdrk4Integrator
+
+        stepper = Etdrk4Integrator(build_symbols(BENJAMIN, n), bump, n, 1e-3)
+        e_half, q = np.hsplit(stepper._stage_c, 2)
+        e_full, f1, f2, f3 = np.hsplit(stepper._final, 4)
+
+        def lin(mat, x):
+            return (mat @ x.view(np.float64)).view(np.complex128)
+
+        def nonlin(x):
+            return stepper.nonlinearity(x, 0.0)
+
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            v = random_field(n, rng, amplitude=0.5, decay=0.5)
+            u = v.coeffs[n:].copy()
+            nv = nonlin(u)
+            a = lin(e_half, u) + lin(q, nv)
+            na = nonlin(a)
+            b = lin(e_half, u) + lin(q, na)
+            nb = nonlin(b)
+            c = lin(e_half, a) + lin(q, 2.0 * nb - nv)
+            nc = nonlin(c)
+            expected = lin(e_full, u) + lin(f1, nv) + 2.0 * lin(f2, na + nb) + lin(f3, nc)
+            got = stepper.step(v.coeffs.copy(), 0.0)[n:]
+            assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
     def test_tiny_amplitude_matches_linear_bump(self, table, bump):
         # the full damped generator inside the exponentials against the matrix route
         loop = build_closed_loop(table, bump, 16)

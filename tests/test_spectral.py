@@ -1,5 +1,8 @@
 """Tests for the truncated Fourier calculus."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from dgblab.spectral import (
     sobolev_norm,
     to_grid,
     to_spectral,
+    transport,
     zero_field,
 )
 
@@ -170,6 +174,45 @@ class TestNonlinearTerm:
         oracle = convolution_transport(v)
         scale = max(1.0, np.abs(oracle.coeffs).max())
         assert np.abs(out.coeffs - oracle.coeffs).max() < 1e-12 * scale
+
+    def test_transport_bit_identical_to_np_fft(self):
+        # transport calls numpy's private pocketfft gufuncs; their results
+        # must equal the public np.fft formula exactly, for every grid size
+        # M = 8..1024 (M = 3N+1 exactly at n = 21 and 85), also when two
+        # threads call it at once (as `sweep` does)
+        rng = np.random.default_rng(23)
+        halves, expected = [], []
+        for n in range(1, 200):
+            m = 8
+            while m < 3 * n + 1:
+                m *= 2
+            half = random_field(n, rng, decay=0.5, mean_zero=False).half
+            k = np.arange(n + 1)
+            ref = 1j * m * k * np.fft.rfft(np.fft.irfft(half, m) ** 2)[: n + 1]
+            assert np.array_equal(transport(half), ref), n
+            halves.append(half)
+            expected.append(ref)
+
+        barrier = threading.Barrier(2, timeout=60.0)
+        got = [None, None]
+
+        def worker(i):
+            barrier.wait()
+            got[i] = [transport(h) for h in halves[i::2] * 20]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(2):
+            assert all(np.array_equal(g, e) for g, e in zip(got[i], expected[i::2] * 20))
 
     def test_mean_always_zero(self):
         rng = np.random.default_rng(7)
