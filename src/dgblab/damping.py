@@ -5,7 +5,10 @@ The actuation operator built from a nonnegative gain g with unit integral is
     (G v)(x) = g(x) * ( v(x) - integral(v * g) ),
 
 and the stabilizing feedback composes it with a fractional derivative:
-G D^delta G.  In coefficient space that composition splits exactly into
+G D^delta G.  `gain_matrix` is the one definition of G and the memoised
+`feedback_matrix` the one of G D^delta G: `apply_gain` is a product with
+the first, and the closed loop and the dissipation rate (its quadratic
+form) share the second.  In coefficient space the feedback splits into
 
     G D^delta G = Dtilde + N1 + R,
 
@@ -29,6 +32,7 @@ from .spectral import (
     GridField,
     SpectralField,
     apply_multiplier,
+    l2_inner,
     l2_norm,
     to_grid,
     to_spectral,
@@ -49,11 +53,13 @@ class DampingProfile:
     support: object
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ProfileError("delta must be positive")
+        if not (np.isfinite(self.delta) and self.delta > 0):
+            raise ProfileError("delta must be positive and finite")
         ghat = np.asarray(self.ghat, dtype=np.complex128)
         if ghat.ndim != 1 or ghat.size % 2 != 1:
             raise ProfileError("ghat must hold an odd-length centered band")
+        if not np.isfinite(ghat).all():
+            raise ProfileError("gain coefficients must be finite")
         k = (ghat.size - 1) // 2
         center = ghat[k]
         if abs(center - 1.0 / TWO_PI) > 1e-12:
@@ -158,28 +164,24 @@ def make_profile_bump(a: float, b: float, n_modes: int, delta: float) -> Damping
     return profile
 
 
-def gain_field(p: DampingProfile, n_modes: int | None = None) -> SpectralField:
-    """The gain g itself as a spectral field (optionally zero-padded)."""
-    field = SpectralField(p.k_modes, p.ghat.copy())
-    if n_modes is not None and n_modes != p.k_modes:
-        field = field.with_cutoff(n_modes)
-    return field
+def gain_field(p: DampingProfile) -> SpectralField:
+    """The gain g itself as a spectral field on its band -K..K."""
+    return SpectralField(p.k_modes, p.ghat)
 
 
-def gain_pairing(p: DampingProfile, v: SpectralField) -> float:
-    """The observation scalar integral(v * g)."""
-    return _pair_with_gain(p, v.coeffs, v.n_modes)
+def _memo(p: DampingProfile, key: tuple, build) -> np.ndarray:
+    """`build()` cached read-only under `key`; of two concurrent builds the first stored wins."""
+    mat = p._cache.get(key)
+    if mat is None:
+        mat = build()
+        mat.setflags(write=False)
+        mat = p._cache.setdefault(key, mat)
+    return mat
 
 
-def _pair_with_gain(p: DampingProfile, coeffs: np.ndarray, band: int) -> float:
-    m = min(band, p.k_modes)
-    seg = coeffs[band - m : band + m + 1]
-    gseg = p.ghat[p.k_modes - m : p.k_modes + m + 1]
-    val = TWO_PI * np.sum(seg * np.conj(gseg))
-    return float(val.real)
-
-
-def _ghat_at(p: DampingProfile, diffs: np.ndarray) -> np.ndarray:
+def _ghat_at(p: DampingProfile, rows: np.ndarray, cols=0) -> np.ndarray:
+    """ghat(k - l) over rows k and columns l: multiplication by g, as a matrix."""
+    diffs = np.subtract.outer(rows, cols)
     out = np.zeros(diffs.shape, dtype=np.complex128)
     mask = np.abs(diffs) <= p.k_modes
     out[mask] = p.ghat[diffs[mask] + p.k_modes]
@@ -189,20 +191,13 @@ def _ghat_at(p: DampingProfile, diffs: np.ndarray) -> np.ndarray:
 def apply_gain(p: DampingProfile, v: SpectralField) -> SpectralField:
     """G v = g (v - integral(v g)); output keeps the grown band N + K.
 
-    The output mean vanishes identically because the gain has unit
-    integral; the rounding residue is asserted small and zeroed.
+    A product with the `gain_matrix` from -N..N to -(N+K)..N+K, memoised
+    per N.  Its mean row is exactly zero, so the output mean is exactly 0.
     """
     n = v.n_modes
-    s = gain_pairing(p, v)
-    w = v.coeffs.copy()
-    w[n] -= s
-    out = np.convolve(p.ghat, w)
-    center = n + p.k_modes
-    scale = 1.0 + float(np.abs(out).max(initial=0.0))
-    if abs(out[center]) > 1e-12 * scale:
-        raise ProfileError("gain output mean residue above 1e-12; profile not normalized")
-    out[center] = 0.0
-    return SpectralField(n + p.k_modes, out)
+    grown = n + p.k_modes
+    mat = _memo(p, ("gain", n), lambda: gain_matrix(p, np.arange(-grown, grown + 1), v.wavenumbers))
+    return SpectralField(grown, mat @ v.coeffs)
 
 
 def _fractional(delta: float):
@@ -224,17 +219,15 @@ def apply_dissipation_part(p: DampingProfile, v: SpectralField) -> SpectralField
 
 def _smoothing_matrix(p: DampingProfile, n: int) -> np.ndarray:
     """Full double-convolution matrix from input band n to output band n + 2K."""
-    key = ("smoothing", n)
-    cache = p._cache
-    if key not in cache:
+
+    def build():
         k_out = np.arange(-(n + 2 * p.k_modes), n + 2 * p.k_modes + 1)
         l_mid = np.arange(-(n + p.k_modes), n + p.k_modes + 1)
-        n_in = np.arange(-n, n + 1)
-        c1 = _ghat_at(p, k_out[:, None] - l_mid[None, :])
-        c2 = _ghat_at(p, l_mid[:, None] - n_in[None, :])
         dl = np.abs(l_mid).astype(np.float64) ** p.delta
-        cache[key] = c1 @ (dl[:, None] * c2)
-    return cache[key]
+        inner = _ghat_at(p, l_mid, np.arange(-n, n + 1))
+        return _ghat_at(p, k_out, l_mid) @ (dl[:, None] * inner)
+
+    return _memo(p, ("smoothing", n), build)
 
 
 def apply_smoothing_remainder(p: DampingProfile, v: SpectralField) -> SpectralField:
@@ -252,26 +245,19 @@ def apply_smoothing_remainder(p: DampingProfile, v: SpectralField) -> SpectralFi
 def apply_mean_correction(p: DampingProfile, v: SpectralField) -> SpectralField:
     """The four-term mean-interaction remainder of the feedback split.
 
-    Combines the scalar pairings integral(g v), integral(g D^delta (g v)),
-    integral(g D^delta g) with the fields g and g D^delta g.  Its k = 0
-    coefficient cancels identically.
+    Combines the scalar pairings integral(g v), integral(v g D^delta g) =
+    integral(g D^delta (g v)) and integral(g D^delta g) with the fields g
+    and g D^delta g.  Its k = 0 coefficient cancels identically.
     """
-    n = v.n_modes
     kk = p.k_modes
-    s1 = gain_pairing(p, v)
-    gv = np.convolve(p.ghat, v.coeffs)
-    l_mid = np.arange(-(n + kk), n + kk + 1)
-    dgv = np.abs(l_mid).astype(np.float64) ** p.delta * gv
-    s2 = _pair_with_gain(p, dgv, n + kk)
-    j = np.arange(-kk, kk + 1)
-    s3 = float(TWO_PI * np.sum(np.abs(j).astype(np.float64) ** p.delta * np.abs(p.ghat) ** 2))
-    gdg = np.convolve(p.ghat, np.abs(j).astype(np.float64) ** p.delta * p.ghat)
-
-    band = 2 * kk
-    out = -s1 * gdg
-    out[band - kk : band + kk + 1] += (-s2 + s1 * s3) * p.ghat
-    out[band] += s2 / TWO_PI
-    return SpectralField(band, out)
+    g = gain_field(p)
+    dg = apply_multiplier(g, _fractional(p.delta))
+    gdg = SpectralField(2 * kk, np.convolve(p.ghat, dg.coeffs))
+    s1, s2, s3 = l2_inner(v, g), l2_inner(v, gdg), l2_inner(dg, g)
+    out = -s1 * gdg.coeffs
+    out[kk : 3 * kk + 1] += (-s2 + s1 * s3) * p.ghat
+    out[2 * kk] += s2 / TWO_PI
+    return SpectralField(2 * kk, out)
 
 
 def decomposition_residual(p: DampingProfile, v: SpectralField) -> float:
@@ -285,14 +271,16 @@ def decomposition_residual(p: DampingProfile, v: SpectralField) -> float:
 
 
 def dissipation_form(p: DampingProfile, v: SpectralField) -> float:
-    """Instantaneous dissipation rate: the squared norm of D^{delta/2} G v.
+    """Instantaneous dissipation rate ||D^{delta/2} G v||^2 = <G D^delta G v, v>.
 
-    Evaluated on the full grown band of G v, which makes it equal (up to
-    rounding) to the pairing of G D^delta G v against v.
+    Evaluated as 2 pi x^H B x, with x the coefficients of v off k = 0 (G
+    annihilates constants) and B the `feedback_matrix` on those modes: the
+    array the closed loop on the same band steps with.
     """
-    gv = apply_gain(p, v)
-    weights = np.abs(gv.wavenumbers).astype(np.float64) ** p.delta
-    return float(TWO_PI * np.sum(weights * np.abs(gv.coeffs) ** 2))
+    n = v.n_modes
+    modes = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
+    x = v.coeffs[modes + n]
+    return float(TWO_PI * np.vdot(x, feedback_matrix(p, modes) @ x).real)
 
 
 def dissipation_equivalence(p: DampingProfile, n_max: int) -> tuple:
@@ -310,20 +298,29 @@ def dissipation_equivalence(p: DampingProfile, n_max: int) -> tuple:
 
 
 def gain_matrix(p: DampingProfile, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Coefficient-space matrix of G from input modes `cols` to output modes `rows`."""
+    """Coefficient-space matrix of G from input modes `cols` to output modes `rows`.
+
+    Entry (k, l) is ghat(k - l) - 2 pi ghat(k) conj(ghat(l)).  Because ghat
+    is exactly Hermitian with ghat(0) = 1/(2 pi), the row k = 0 is exactly 0.
+    """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    direct = _ghat_at(p, rows[:, None] - cols[None, :])
     correction = TWO_PI * _ghat_at(p, rows)[:, None] * np.conj(_ghat_at(p, cols))[None, :]
-    return direct - correction
+    return _ghat_at(p, rows, cols) - correction
 
 
 def feedback_matrix(p: DampingProfile, modes: np.ndarray) -> np.ndarray:
-    """Galerkin matrix of G D^delta G on the given modes (full inner band)."""
+    """Galerkin matrix of G D^delta G on the given modes (full inner band).
+
+    Memoised per mode set: the closed loop and `dissipation_form` share it.
+    """
     modes = np.asarray(modes, dtype=np.int64)
-    inner = np.arange(-(np.abs(modes).max() + p.k_modes), np.abs(modes).max() + p.k_modes + 1)
-    g_in = gain_matrix(p, inner, modes)
-    g_out = gain_matrix(p, modes, inner)
-    dl = np.abs(inner).astype(np.float64) ** p.delta
-    mat = g_out @ (dl[:, None] * g_in)
-    return 0.5 * (mat + mat.conj().T)
+
+    def build():
+        m = int(np.abs(modes).max()) + p.k_modes
+        inner = np.arange(-m, m + 1)
+        dl = np.abs(inner).astype(np.float64) ** p.delta
+        mat = gain_matrix(p, modes, inner) @ (dl[:, None] * gain_matrix(p, inner, modes))
+        return 0.5 * (mat + mat.conj().T)
+
+    return _memo(p, ("feedback", modes.tobytes()), build)

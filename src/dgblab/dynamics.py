@@ -16,8 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import damping as dmp
-from .damping import DampingProfile, feedback_matrix
+from .damping import DampingProfile, dissipation_form, feedback_matrix
 from .errors import BlowUpError, DgbError, ProfileError
 from .spectral import (
     SpectralField,
@@ -583,7 +582,7 @@ def energy_residual(record: TrajectoryRecord, profile: DampingProfile) -> np.nda
     if np.any(np.abs(steps - h) > 1e-9 * h):
         raise ValueError("energy residual requires uniform sampling")
     energy = 0.5 * record.l2norms**2
-    dissip = np.array([dmp.dissipation_form(profile, s) for s in record.states])
+    dissip = np.array([dissipation_form(profile, s) for s in record.states])
     out = np.full(times.size, np.nan)
     j = np.arange(2, times.size - 2)
     d_dt = (-energy[j + 2] + 8.0 * energy[j + 1] - 8.0 * energy[j - 1] + energy[j - 2]) / (12.0 * h)

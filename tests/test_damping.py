@@ -91,6 +91,20 @@ class TestProfiles:
         with pytest.raises(ProfileError):
             DampingProfile(delta=1.0, ghat=np.array([0.5 + 0j]), support="global")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_ghat_rejected(self, bad):
+        ghat = [[bad, 0.0], [1.0 / TWO_PI, 0.0], [bad, 0.0]]
+        data = {"support": "global", "modes": 1, "delta": 1.0, "ghat": ghat}
+        with pytest.raises(ProfileError):
+            DampingProfile.from_json_dict(data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_delta_rejected(self, bad):
+        data = make_profile_global(1.0).to_json_dict()
+        data["delta"] = bad
+        with pytest.raises(ProfileError):
+            DampingProfile.from_json_dict(data)
+
     def test_json_round_trip(self, bump):
         again = DampingProfile.from_json_dict(bump.to_json_dict())
         assert np.array_equal(again.ghat, bump.ghat)
@@ -134,11 +148,16 @@ class TestGainOperator:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_gain_matrix_consistent_with_apply(self, bump):
+        # reference: the convolution g * (v - integral(v g)), independent of gain_matrix
         rng = np.random.default_rng(3)
         v = random_field(12, rng)
+        w = v.coeffs.copy()
+        w[12] -= l2_inner(v, gain_field(bump))
+        expected = np.convolve(bump.ghat, w)
         rows = np.arange(-(12 + bump.k_modes), 12 + bump.k_modes + 1)
         mat = gain_matrix(bump, rows, v.wavenumbers)
-        assert np.allclose(mat @ v.coeffs, apply_gain(bump, v).coeffs, atol=1e-14)
+        assert np.allclose(mat @ v.coeffs, expected, atol=1e-14)
+        assert np.allclose(apply_gain(bump, v).coeffs, expected, atol=1e-14)
 
 
 class TestFeedbackDecomposition:

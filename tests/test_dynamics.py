@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dgblab.damping import make_profile_bump, make_profile_global
+from dgblab.damping import dissipation_form, make_profile_bump, make_profile_global
 from dgblab.dynamics import (
     TrajectoryRecord,
     _expm,
@@ -92,6 +92,16 @@ class TestClosedLoop:
         b = loop.damping_matrix
         assert np.allclose(b, b.conj().T)
         assert np.linalg.eigvalsh(b).min() > -1e-12
+
+    def test_damping_matrix_shared_and_read_only(self, table, bump):
+        # one memoised array serves the loop and the dissipation rate
+        loop = build_closed_loop(table, bump, 24)
+        with pytest.raises(ValueError):
+            loop.damping_matrix[0, 0] = 0.0
+        v = random_field(24, np.random.default_rng(5), mean_zero=False)
+        x = np.delete(v.coeffs, 24)
+        expected = 2.0 * np.pi * np.vdot(x, loop.damping_matrix @ x).real
+        assert dissipation_form(bump, v) == pytest.approx(expected, rel=1e-14)
 
     def test_abscissa_negative(self, table, bump, global_profile):
         for profile in (bump, global_profile):
