@@ -5,10 +5,10 @@ The actuation operator built from a nonnegative gain g with unit integral is
     (G v)(x) = g(x) * ( v(x) - integral(v * g) ),
 
 and the stabilizing feedback composes it with a fractional derivative:
-G D^delta G.  `gain_matrix` is the one definition of G and the memoised
-`feedback_matrix` the one of G D^delta G: `apply_gain` is a product with
-the first, and the closed loop and the dissipation rate (its quadratic
-form) share the second.  In coefficient space the feedback splits into
+G D^delta G.  `apply_gain` applies G as a convolution with ghat, with no
+matrix formed; `gain_matrix` and the memoised `feedback_matrix` are the
+matrices of G and G D^delta G that the closed loop steps.  In coefficient
+space that composition splits exactly into
 
     G D^delta G = Dtilde + N1 + R,
 
@@ -191,13 +191,17 @@ def _ghat_at(p: DampingProfile, rows: np.ndarray, cols=0) -> np.ndarray:
 def apply_gain(p: DampingProfile, v: SpectralField) -> SpectralField:
     """G v = g (v - integral(v g)); output keeps the grown band N + K.
 
-    A product with the `gain_matrix` from -N..N to -(N+K)..N+K, memoised
-    per N.  Its mean row is exactly zero, so the output mean is exactly 0.
+    A convolution with ghat, O(N K).  The gain has unit integral, so the
+    output mean is exactly 0; it is set so in place of its rounding residue.
     """
-    n = v.n_modes
-    grown = n + p.k_modes
-    mat = _memo(p, ("gain", n), lambda: gain_matrix(p, np.arange(-grown, grown + 1), v.wavenumbers))
-    return SpectralField(grown, mat @ v.coeffs)
+    n, kk = v.n_modes, p.k_modes
+    m = min(n, kk)
+    w = v.coeffs.copy()
+    # integral(v g) over the modes both bands hold
+    w[n] -= TWO_PI * np.vdot(p.ghat[kk - m : kk + m + 1], w[n - m : n + m + 1]).real
+    out = np.convolve(p.ghat, w)
+    out[n + kk] = 0.0
+    return SpectralField(n + kk, out)
 
 
 def _fractional(delta: float):
@@ -273,14 +277,12 @@ def decomposition_residual(p: DampingProfile, v: SpectralField) -> float:
 def dissipation_form(p: DampingProfile, v: SpectralField) -> float:
     """Instantaneous dissipation rate ||D^{delta/2} G v||^2 = <G D^delta G v, v>.
 
-    Evaluated as 2 pi x^H B x, with x the coefficients of v off k = 0 (G
-    annihilates constants) and B the `feedback_matrix` on those modes: the
-    array the closed loop on the same band steps with.
+    The squared norm over the full grown band of `apply_gain`: O(N K), with
+    no matrix formed whether or not a closed loop has built one.
     """
-    n = v.n_modes
-    modes = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
-    x = v.coeffs[modes + n]
-    return float(TWO_PI * np.vdot(x, feedback_matrix(p, modes) @ x).real)
+    gv = apply_gain(p, v)
+    weights = np.abs(gv.wavenumbers).astype(np.float64) ** p.delta
+    return float(TWO_PI * np.sum(weights * np.abs(gv.coeffs) ** 2))
 
 
 def dissipation_equivalence(p: DampingProfile, n_max: int) -> tuple:
@@ -298,11 +300,7 @@ def dissipation_equivalence(p: DampingProfile, n_max: int) -> tuple:
 
 
 def gain_matrix(p: DampingProfile, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Coefficient-space matrix of G from input modes `cols` to output modes `rows`.
-
-    Entry (k, l) is ghat(k - l) - 2 pi ghat(k) conj(ghat(l)).  Because ghat
-    is exactly Hermitian with ghat(0) = 1/(2 pi), the row k = 0 is exactly 0.
-    """
+    """Coefficient-space matrix of G from input modes `cols` to output modes `rows`."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     correction = TWO_PI * _ghat_at(p, rows)[:, None] * np.conj(_ghat_at(p, cols))[None, :]
@@ -312,7 +310,8 @@ def gain_matrix(p: DampingProfile, rows: np.ndarray, cols: np.ndarray) -> np.nda
 def feedback_matrix(p: DampingProfile, modes: np.ndarray) -> np.ndarray:
     """Galerkin matrix of G D^delta G on the given modes (full inner band).
 
-    Memoised per mode set: the closed loop and `dissipation_form` share it.
+    Memoised read-only per mode set, so every closed loop on the same band
+    shares one array, held for the profile's lifetime.
     """
     modes = np.asarray(modes, dtype=np.int64)
 

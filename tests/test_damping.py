@@ -193,6 +193,8 @@ class TestFeedbackDecomposition:
         rhs = dissipation_form(bump, v)
         assert rhs >= 0.0
         assert lhs == pytest.approx(rhs, rel=1e-12)
+        # G annihilates constants, including the field with no modes but k = 0
+        assert dissipation_form(bump, constant_field(0, 3.0)) == 0.0
 
     def test_mean_correction_bounded(self, bump):
         rng = np.random.default_rng(10)

@@ -93,8 +93,9 @@ class TestClosedLoop:
         assert np.allclose(b, b.conj().T)
         assert np.linalg.eigvalsh(b).min() > -1e-12
 
-    def test_damping_matrix_shared_and_read_only(self, table, bump):
-        # one memoised array serves the loop and the dissipation rate
+    def test_damping_matrix_read_only(self, table, bump):
+        # one memoised array serves every loop on the band; the matrix-free
+        # dissipation rate is its quadratic form
         loop = build_closed_loop(table, bump, 24)
         with pytest.raises(ValueError):
             loop.damping_matrix[0, 0] = 0.0
