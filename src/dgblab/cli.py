@@ -144,6 +144,15 @@ class RunConfig:
             raise ConfigError("init.kind must be 'cosine' or 'random'")
         if self["record.every"] < 1:
             raise ConfigError("record.every must be at least 1")
+        draws = [("control.amplitude", "control.decay")] if self.experiment == "control-linear" else []
+        if self.experiment in ("simulate", "stabilize") and self["init.kind"] == "random":
+            draws.append(("init.amplitude", "init.decay"))
+        for amp, decay in draws:
+            # random_field scales mode k by (1 + k)^-decay, largest at k = grid.n when decay < 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale = abs(self[amp]) * np.float64(1 + self["grid.n"]) ** -self[decay]
+            if not np.isfinite(scale):
+                raise ConfigError(f"{amp} * (1 + grid.n)^-{decay} must be finite")
         if self.experiment == "stabilize":
             t0, t1 = self.fit_window()
             if not 0 <= t0 < t1 <= self["time.t_final"]:
@@ -357,10 +366,11 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
 
 def _run_stabilize(cfg: RunConfig, out_dir: Path) -> dict:
     summary, record = _damped_run(cfg, out_dir)
-    t0, t1 = cfg.fit_window()
-    if np.count_nonzero((record.times >= t0) & (record.times <= t1)) < 2:
-        raise ConfigError("the fit window holds fewer than two recorded samples; widen it")
-    fit = decay_fit(record, (t0, t1))
+    try:
+        fit = decay_fit(record, cfg.fit_window())
+    except ValueError as exc:
+        # too few recorded samples in the window, or only zero-norm ones
+        raise ConfigError(f"{exc}; widen it or start from a nonzero state") from exc
     # the stepped loop's drift comes from the initial mean, not params.mu
     abscissa = record.run_meta["spectral_abscissa"]
     summary.update(
@@ -487,12 +497,19 @@ _RUNNERS = {
 }
 
 
+def _make_out_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory '{path}': {exc}") from exc
+    return path
+
+
 def run(cfg: RunConfig, out_dir=None) -> dict:
     """Execute one experiment; returns the manifest dict."""
     if out_dir is None:
         out_dir = cfg["out"] or f"runs/{cfg.experiment}"
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(Path(out_dir))
     started = time.perf_counter()
     summary = _RUNNERS[cfg.experiment](cfg, out_dir)
     wall = time.perf_counter() - started
@@ -529,6 +546,7 @@ def _sweep(args) -> int:
         if name in jobs:
             raise ConfigError(f"two configs share the file stem '{name}' and so one output directory")
         jobs[name] = parse_config(_read_config(path))
+    _make_out_dir(base)
 
     def work(item):
         name, cfg = item

@@ -36,6 +36,7 @@ from .dynamics import (
 )
 from .errors import (
     DegenerateGramianError,
+    DgbError,
     IllPosedHorizonError,
     ObservabilityFailureError,
     UncontrollableTruncationError,
@@ -82,6 +83,13 @@ class ControlSolution:
     terminal_error: float
     method: str
     info: dict
+
+    def __post_init__(self):
+        if not (np.isfinite(self.terminal_error) and np.isfinite(self.control_norm)):
+            raise DgbError(
+                f"non-finite steering certificate: terminal error {self.terminal_error}, "
+                f"control norm {self.control_norm}"
+            )
 
 
 def gram_matrix(table: SymbolTable, mode_set, horizon: float) -> np.ndarray:
@@ -400,7 +408,6 @@ class ObservabilityReport:
     c_obs: float
     rho: float
     worst_mode: SpectralField
-    min_eig: float
     horizon: float
     loop: LinearClosedLoop
 
@@ -437,7 +444,6 @@ def observability_constant(
         c_obs=c_obs,
         rho=1.0 - 2.0 / c_obs,
         worst_mode=worst,
-        min_eig=lam_min,
         horizon=horizon,
         loop=loop,
     )
@@ -448,10 +454,6 @@ class RatePrediction:
     gamma_gramian: float
     gamma_abscissa: float
     report: ObservabilityReport
-
-    @property
-    def c_obs(self) -> float:
-        return self.report.c_obs
 
 
 def decay_rate_predict(

@@ -6,8 +6,8 @@ The actuation operator built from a nonnegative gain g with unit integral is
 
 and the stabilizing feedback composes it with a fractional derivative:
 G D^delta G.  `apply_gain` applies G as a convolution with ghat, with no
-matrix formed; `gain_matrix` and the memoised `feedback_matrix` are the
-matrices of G and G D^delta G that the closed loop steps.  In coefficient
+matrix formed; `gain_matrix` and `feedback_matrix` build the matrices of G
+and G D^delta G per call, for the closed loop to own.  In coefficient
 space that composition splits exactly into
 
     G D^delta G = Dtilde + N1 + R,
@@ -45,7 +45,7 @@ class DampingProfile:
 
     `ghat` holds coefficients for l in {-K..K}; `support` is either the
     string 'global' or the open interval (a, b) the gain was built on.
-    Profiles are immutable; derived operator matrices are memoised.
+    Profiles are immutable values; they hold no derived operator matrices.
     """
 
     delta: float
@@ -71,7 +71,6 @@ class DampingProfile:
         ghat[k] = 1.0 / TWO_PI
         ghat.setflags(write=False)
         object.__setattr__(self, "ghat", ghat)
-        object.__setattr__(self, "_cache", {})
 
     @property
     def k_modes(self) -> int:
@@ -169,16 +168,6 @@ def gain_field(p: DampingProfile) -> SpectralField:
     return SpectralField(p.k_modes, p.ghat)
 
 
-def _memo(p: DampingProfile, key: tuple, build) -> np.ndarray:
-    """`build()` cached read-only under `key`; of two concurrent builds the first stored wins."""
-    mat = p._cache.get(key)
-    if mat is None:
-        mat = build()
-        mat.setflags(write=False)
-        mat = p._cache.setdefault(key, mat)
-    return mat
-
-
 def _ghat_at(p: DampingProfile, rows: np.ndarray, cols=0) -> np.ndarray:
     """ghat(k - l) over rows k and columns l: multiplication by g, as a matrix."""
     diffs = np.subtract.outer(rows, cols)
@@ -221,23 +210,15 @@ def apply_dissipation_part(p: DampingProfile, v: SpectralField) -> SpectralField
     return SpectralField(v.n_modes, d * v.coeffs)
 
 
-def _smoothing_matrix(p: DampingProfile, n: int) -> np.ndarray:
-    """Full double-convolution matrix from input band n to output band n + 2K."""
-
-    def build():
-        k_out = np.arange(-(n + 2 * p.k_modes), n + 2 * p.k_modes + 1)
-        l_mid = np.arange(-(n + p.k_modes), n + p.k_modes + 1)
-        dl = np.abs(l_mid).astype(np.float64) ** p.delta
-        inner = _ghat_at(p, l_mid, np.arange(-n, n + 1))
-        return _ghat_at(p, k_out, l_mid) @ (dl[:, None] * inner)
-
-    return _memo(p, ("smoothing", n), build)
-
-
 def apply_smoothing_remainder(p: DampingProfile, v: SpectralField) -> SpectralField:
     """Off-diagonal convolution piece: the n != k part of the g D^delta g sums."""
     n = v.n_modes
-    mat = _smoothing_matrix(p, n)
+    # the dense band-n to band-(n + 2K) product: its diagonal cancels exactly for the constant gain
+    k_out = np.arange(-(n + 2 * p.k_modes), n + 2 * p.k_modes + 1)
+    l_mid = np.arange(-(n + p.k_modes), n + p.k_modes + 1)
+    dl = np.abs(l_mid).astype(np.float64) ** p.delta
+    inner = _ghat_at(p, l_mid, np.arange(-n, n + 1))
+    mat = _ghat_at(p, k_out, l_mid) @ (dl[:, None] * inner)
     out = mat @ v.coeffs
     center = n + 2 * p.k_modes
     diag = np.diagonal(mat[center - n : center + n + 1, :])
@@ -310,16 +291,11 @@ def gain_matrix(p: DampingProfile, rows: np.ndarray, cols: np.ndarray) -> np.nda
 def feedback_matrix(p: DampingProfile, modes: np.ndarray) -> np.ndarray:
     """Galerkin matrix of G D^delta G on the given modes (full inner band).
 
-    Memoised read-only per mode set, so every closed loop on the same band
-    shares one array, held for the profile's lifetime.
+    Hermitian by construction, and built per call: the caller owns it.
     """
     modes = np.asarray(modes, dtype=np.int64)
-
-    def build():
-        m = int(np.abs(modes).max()) + p.k_modes
-        inner = np.arange(-m, m + 1)
-        dl = np.abs(inner).astype(np.float64) ** p.delta
-        mat = gain_matrix(p, modes, inner) @ (dl[:, None] * gain_matrix(p, inner, modes))
-        return 0.5 * (mat + mat.conj().T)
-
-    return _memo(p, ("feedback", modes.tobytes()), build)
+    m = int(np.abs(modes).max()) + p.k_modes
+    inner = np.arange(-m, m + 1)
+    dl = np.abs(inner).astype(np.float64) ** p.delta
+    mat = gain_matrix(p, modes, inner) @ (dl[:, None] * gain_matrix(p, inner, modes))
+    return 0.5 * (mat + mat.conj().T)

@@ -114,6 +114,7 @@ def build_closed_loop(table: SymbolTable, profile: DampingProfile, n_modes: int)
         raise ValueError("n_modes exceeds the symbol table band")
     modes = np.concatenate([np.arange(-n_modes, 0), np.arange(1, n_modes + 1)])
     b = feedback_matrix(profile, modes)
+    b.setflags(write=False)
     a = np.diag(1j * table.eig(modes)) - b
     return LinearClosedLoop(n_modes=n_modes, modes=modes, generator=a, damping_matrix=b)
 

@@ -207,6 +207,11 @@ class TestMainEntry:
             ("stabilize", ["seed=-1"]),
             ("control-linear", ["seed=-1"]),
             ("control-nonlinear", ["profile.kind=bump", "grid.n=16"]),
+            # the zero state has no decay rate to fit
+            ("stabilize", ["init.amplitude=0", "time.t_final=0.1"]),
+            # random fields whose largest coefficient scale overflows
+            ("simulate", ["init.kind=random", "init.decay=-400"]),
+            ("control-linear", ["control.decay=-400"]),
         ],
     )
     def test_exit_two_on_out_of_range_key(self, tmp_path, capsys, experiment, overrides):
@@ -244,23 +249,37 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_exit_three_on_numerical_failure(self, tmp_path, capsys):
-        # a 16-mode band cannot represent the half-circle bump nonnegatively
-        code = main(
-            [
-                "observability",
-                "--out",
-                str(tmp_path / "num"),
-                "--override",
-                "profile.kind=bump",
-                "--override",
-                "profile.modes=16",
-                "--override",
-                "grid.n=8",
-            ]
-        )
-        assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            # a 16-mode band cannot represent the half-circle bump nonnegatively
+            ("observability", ["profile.kind=bump", "profile.modes=16", "grid.n=8"]),
+            # finite endpoints whose steering certificate overflows
+            ("control-linear", ["grid.n=8", "control.amplitude=1e300"]),
+        ],
+        ids=["bump-too-narrow", "nonfinite-certificate"],
+    )
+    def test_exit_three_on_numerical_failure(self, tmp_path, capsys, experiment, overrides):
+        args = [experiment, "--out", str(tmp_path / "num")]
+        for item in overrides:
+            args += ["--override", item]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "Traceback" not in err
+
+    def test_exit_two_on_unusable_out(self, tmp_path, capsys):
+        cfg = tmp_path / "lemmas.cfg"
+        cfg.write_text(BENJAMIN_CFG.replace("grid.n = 64", "grid.n = 8"))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for out in (blocker, blocker / "sub"):
+            for argv in (["lemmas", "--config", str(cfg)], ["sweep", "--configs", str(cfg)]):
+                assert main(argv + ["--out", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert "config error" in err
+                assert "Traceback" not in err
+        assert blocker.read_text() == ""
 
     def test_control_linear_bump_stays_real(self, tmp_path, capsys):
         # at n=24 the complex-form control carried rounding asymmetry past the real-field tolerance
@@ -356,6 +375,9 @@ _FREE_KEYS = {
     "params.mu": ["0", "0.3", "nan", "-inf"],
     "params.delta": ["1", "0.5", "0", "nan"],
     "control.u1_mode": ["2", "0", "40"],
+    "init.decay": ["1.5", "0", "-2", "-400"],
+    "control.decay": ["1.5", "-300", "-400"],
+    "control.amplitude": ["1", "0", "1e300"],
 }
 
 

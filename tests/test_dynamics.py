@@ -94,8 +94,8 @@ class TestClosedLoop:
         assert np.linalg.eigvalsh(b).min() > -1e-12
 
     def test_damping_matrix_read_only(self, table, bump):
-        # one memoised array serves every loop on the band; the matrix-free
-        # dissipation rate is its quadratic form
+        # the loop owns its feedback matrix and keeps it read-only; the
+        # matrix-free dissipation rate is its quadratic form
         loop = build_closed_loop(table, bump, 24)
         with pytest.raises(ValueError):
             loop.damping_matrix[0, 0] = 0.0
