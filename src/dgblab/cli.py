@@ -332,10 +332,9 @@ def _write_control(out_dir: Path, solution):
     )
 
 
-def _damped_run(cfg: RunConfig, out_dir: Path):
-    rng = np.random.default_rng(cfg["seed"])
+def _damped_run(cfg: RunConfig, u0: SpectralField) -> tuple:
+    """Integrate the damped closed loop from u0; returns the profile, the record and the summary."""
     profile = _build_profile(cfg)
-    u0 = _build_initial(cfg, rng)
     record = simulate_damped(
         cfg.params,
         profile,
@@ -344,9 +343,6 @@ def _damped_run(cfg: RunConfig, out_dir: Path):
         cfg["time.dt"],
         record_every=cfg["record.every"],
     )
-    _write_profile_artifacts(out_dir, profile, cfg["grid.n"])
-    _write_trajectory(out_dir, record)
-    _write_snapshots(out_dir, record)
     resid = record.energy_residuals
     max_resid = float(np.nanmax(np.abs(resid))) if resid is not None else float("nan")
     summary = {
@@ -356,21 +352,35 @@ def _damped_run(cfg: RunConfig, out_dir: Path):
         "max_energy_residual": max_resid,
         "max_norm_increase": float(np.diff(record.l2norms).max(initial=-np.inf)),
     }
-    return summary, record
+    return profile, record, summary
+
+
+def _write_damped_artifacts(out_dir: Path, cfg: RunConfig, profile: DampingProfile, record):
+    _write_profile_artifacts(out_dir, profile, cfg["grid.n"])
+    _write_trajectory(out_dir, record)
+    _write_snapshots(out_dir, record)
 
 
 def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
-    summary, _ = _damped_run(cfg, out_dir)
+    u0 = _build_initial(cfg, np.random.default_rng(cfg["seed"]))
+    profile, record, summary = _damped_run(cfg, u0)
+    _write_damped_artifacts(out_dir, cfg, profile, record)
     return summary
 
 
 def _run_stabilize(cfg: RunConfig, out_dir: Path) -> dict:
-    summary, record = _damped_run(cfg, out_dir)
+    """The damped run and its decay fit; an unusable fit exits before any artifact is written."""
+    u0 = _build_initial(cfg, np.random.default_rng(cfg["seed"]))
+    if not np.any(u0.half[1:]):
+        raise ConfigError(
+            "the initial fluctuation is zero and has no decay rate; start from a nonzero state"
+        )
+    profile, record, summary = _damped_run(cfg, u0)
     try:
         fit = decay_fit(record, cfg.fit_window())
     except ValueError as exc:
-        # too few recorded samples in the window, or only zero-norm ones
-        raise ConfigError(f"{exc}; widen it or start from a nonzero state") from exc
+        # too few recorded samples in the window, or only underflowed ones
+        raise ConfigError(f"{exc}; widen it or start from a larger state") from exc
     # the stepped loop's drift comes from the initial mean, not params.mu
     abscissa = record.run_meta["spectral_abscissa"]
     summary.update(
@@ -382,6 +392,7 @@ def _run_stabilize(cfg: RunConfig, out_dir: Path) -> dict:
             "rate_over_abscissa": fit.rate / (-abscissa),
         }
     )
+    _write_damped_artifacts(out_dir, cfg, profile, record)
     return summary
 
 

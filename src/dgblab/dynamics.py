@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .damping import DampingProfile, dissipation_form, feedback_matrix
 from .errors import BlowUpError, DgbError, ProfileError
 from .spectral import (
+    TWO_PI,
     SpectralField,
     conjugate_extend,
     constant_field,
-    l2_norm,
     mean,
     project_mean_zero,
     transport,
@@ -54,7 +54,10 @@ class TrajectoryRecord:
 
 
 def _fluctuation_norm(v: SpectralField) -> float:
-    return l2_norm(project_mean_zero(v))
+    """l2_norm(project_mean_zero(v)), bit for bit, read off v's coefficients."""
+    sq = np.abs(v.coeffs) ** 2
+    sq[v.n_modes] = 0.0
+    return float(np.sqrt(TWO_PI * np.sum(sq)))
 
 
 def semigroup_apply(
@@ -298,22 +301,15 @@ def _real_form(a: np.ndarray, n_modes: int) -> np.ndarray:
     return out.reshape(2 * n, 2 * n)
 
 
-def _real_matvec(mat: np.ndarray, *vecs: np.ndarray) -> np.ndarray:
-    """Apply real matrices on interleaved (Re, Im) pairs to complex vectors, summed.
+def _diagonal_matvec(scratch: np.ndarray, weights: tuple, x: tuple, out: tuple):
+    """The diagonal counterpart of `np.matmul` on the stacked stage inputs.
 
-    `mat` is the blocks [W_1 | ... | W_j] side by side, so one product
-    forms W_1 vecs[0] + ... + W_j vecs[j - 1].
+    Writes w_1 x[0] + ... + w_j x[j - 1], summed in that order, into out[0];
+    `scratch` holds each further product.  `x` and `out` are tuples of rows.
     """
-    x = vecs[0] if len(vecs) == 1 else np.concatenate(vecs)
-    return (mat @ x.view(np.float64)).view(np.complex128)
-
-
-def _diagonal_matvec(weights: tuple, *vecs: np.ndarray) -> np.ndarray:
-    """The diagonal counterpart of `_real_matvec`: w_1 * vecs[0] + ... + w_j * vecs[j - 1]."""
-    out = weights[0] * vecs[0]
-    for w, v in zip(weights[1:], vecs[1:]):
-        out = out + w * v
-    return out
+    acc = np.multiply(weights[0], x[0], out[0])
+    for w, v in zip(weights[1:], x[1:]):
+        acc += np.multiply(w, v, scratch)
 
 
 class Etdrk4Integrator:
@@ -337,13 +333,22 @@ class Etdrk4Integrator:
     step ending at the next step's start time hands its last value on), and
     it does not mutate the returned array.
 
-    The stepper works on the coefficients k = 0..N; the negative modes are
-    their conjugates, so every step returns a real field, and the mean k = 0
-    is carried through unchanged.  An ill-conditioned eigenbasis raises
-    ProfileError.  `generator` is the closed-loop generator on the mean-zero
-    modes when the feedback couples modes, and None when it is diagonal.
-    `spectral_abscissa` is the abscissa of the stepped generator: the
-    loop's, or max(-d(k)) over k = 1..N when it is diagonal.
+    `step` maps a half spectrum (the coefficients k = 0..N; the negative
+    modes are their conjugates, so every state is a real field) to the next,
+    and carries the mean k = 0 through unchanged.  The construction
+    allocates every stage buffer once: the c-stage input [a; 2 nb - nv] and
+    the final input [u; nv; 2 (na + nb); nc] are one buffer each, which the
+    side-by-side weights read in one product, and every stage writes into
+    its buffer.  `step` does not modify its argument; it returns a read-only
+    view of the integrator's output buffer, valid until the next step, and
+    may be passed that view back.  An integrator is therefore used by one
+    thread at a time; separate integrators share nothing mutable.
+
+    An ill-conditioned eigenbasis raises ProfileError.  `generator` is the
+    closed-loop generator on the mean-zero modes when the feedback couples
+    modes, and None when it is diagonal.  `spectral_abscissa` is the
+    abscissa of the stepped generator: the loop's, or max(-d(k)) over
+    k = 1..N when it is diagonal.
     """
 
     def __init__(
@@ -389,7 +394,11 @@ class Etdrk4Integrator:
             fill(self._e_half, np.exp(eigs / 2.0), 1.0)
             for block, w in zip((self._q, f1, f2, f3), _etdrk4_weights(eigs)):
                 fill(block, dt * w)
-            self._apply = _real_matvec
+            self._apply = np.matmul
+
+            def operand(buf):
+                # the weights act on the interleaved (Re, Im) of a stacked buffer
+                return buf.reshape(-1).view(np.float64)
         else:
             lam = table.eig(ks)
             d = profile.d_symbol(ks) if profile is not None else np.zeros(ks.size)
@@ -402,11 +411,28 @@ class Etdrk4Integrator:
             self._stage_c = (e_half, q)
             self._final = (e_full, f1, f2, f3)
             self._e_half, self._q = (e_half,), (q,)
-            self._apply = _diagonal_matvec
+            self._apply = partial(_diagonal_matvec, np.empty(ks.size, dtype=np.complex128))
 
-    def nonlinearity(self, u: np.ndarray, t: float) -> np.ndarray:
-        """Explicit term on the coefficients k = 0..N; its mean entry is zero."""
-        out = -transport(u)
+            def operand(buf):
+                # the weights act on the rows of a stacked buffer
+                return tuple(buf.reshape(-1, ks.size))
+
+        # the step's workspace: complex rows, and the operands the weights
+        # read from and write to, views taken once
+        final_in = np.zeros((4, ks.size), dtype=np.complex128)  # [u; nv; 2 (na + nb); nc]
+        stage_in = np.zeros((2, ks.size), dtype=np.complex128)  # [a; 2 nb - nv]
+        eu, tmp, b, na, nb, c, out = np.zeros((7, ks.size), dtype=np.complex128)
+        u, nv, nab, nc = final_in
+        a, w = stage_in
+        self._rows = (u, nv, nab, nc, a, w, eu, tmp, b, na, nb, c)
+        self._operands = tuple(operand(x) for x in (u, nv, na, stage_in, final_in, eu, tmp, c, out))
+        self._result = out.view()
+        self._result.setflags(write=False)
+
+    def nonlinearity(self, u: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+        """Explicit term on the coefficients k = 0..N, written into `out`; its mean entry is zero."""
+        out = transport(u, out)
+        np.negative(out, out)
         if self.forcing is not None:
             if t != self._forced_t:
                 self._forced, self._forced_t = self.forcing(t), t
@@ -414,23 +440,37 @@ class Etdrk4Integrator:
         out[0] = 0.0
         return out
 
-    def step(self, coeffs: np.ndarray, t: float, t_end: float | None = None) -> np.ndarray:
-        """Advance from t to t_end (default t + dt); the stage times are t, t + dt/2, t_end."""
+    def step(self, half: np.ndarray, t: float, t_end: float | None = None) -> np.ndarray:
+        """Advance the half spectrum from t to t_end (default t + dt).
+
+        The stage times are t, t + dt/2, t_end.  `half` is left unchanged; the
+        result is a read-only view of the integrator's buffer, overwritten by
+        the next step.
+        """
         lin = self._apply
+        nonlin = self.nonlinearity
+        u, nv, nab, nc, a, w, eu, tmp, b, na, nb, c = self._rows
+        x_u, x_nv, x_na, x_stage, x_final, x_eu, x_tmp, x_c, x_out = self._operands
         t_mid = t + self.dt / 2.0
         if t_end is None:
             t_end = t + self.dt
-        u = np.ascontiguousarray(coeffs[self.n_modes :], dtype=np.complex128)
-        nv = self.nonlinearity(u, t)
-        eu = lin(self._e_half, u)
-        a = eu + lin(self._q, nv)
-        na = self.nonlinearity(a, t_mid)
-        b = eu + lin(self._q, na)
-        nb = self.nonlinearity(b, t_mid)
-        c = lin(self._stage_c, a, 2.0 * nb - nv)
-        nc = self.nonlinearity(c, t_end)
-        out = lin(self._final, u, nv, 2.0 * (na + nb), nc)
-        return conjugate_extend(out)
+        np.copyto(u, half)
+        nonlin(u, t, nv)
+        lin(self._e_half, x_u, x_eu)
+        lin(self._q, x_nv, x_tmp)
+        np.add(eu, tmp, a)
+        nonlin(a, t_mid, na)
+        lin(self._q, x_na, x_tmp)
+        np.add(eu, tmp, b)
+        nonlin(b, t_mid, nb)
+        np.multiply(2.0, nb, w)
+        np.subtract(w, nv, w)
+        lin(self._stage_c, x_stage, x_c)
+        nonlin(c, t_end, nc)
+        np.add(na, nb, nab)
+        np.multiply(2.0, nab, nab)
+        lin(self._final, x_final, x_out)
+        return self._result
 
 
 def nonlinear_step(
@@ -446,8 +486,7 @@ def nonlinear_step(
     `forcing`, when given, maps t to the coefficients k = 0..N of the forcing.
     """
     stepper = Etdrk4Integrator(table, profile, v.n_modes, dt, forcing)
-    out = stepper.step(v.coeffs.copy(), t)
-    return SpectralField(v.n_modes, out)
+    return SpectralField(v.n_modes, conjugate_extend(stepper.step(v.half, t)))
 
 
 def simulate(
@@ -493,26 +532,29 @@ def _run_once(table, profile, v0, t_final, dt, forcing, record_every) -> Traject
     dt_eff = t_final / n_steps
     stepper = Etdrk4Integrator(table, profile, n, dt_eff, forcing)
 
-    coeffs = v0.coeffs.copy()
     # floored at an absolute scale, so that a forced run from rest does not
     # count its first step as a blow-up
-    blow_limit = 1e12 * max(float(np.sum(np.abs(coeffs) ** 2)), 1.0)
+    blow_limit = 1e12 * max(float(np.sum(np.abs(v0.coeffs) ** 2)), 1.0)
 
     times = [0.0]
-    states = [SpectralField(n, coeffs.copy())]
+    states = [v0]
+    half = v0.half
     t = 0.0
     for i in range(n_steps):
         # the step ends at the time recorded and passed on as the next start, so
         # its last forcing evaluation is the next step's first
         t_next = (i + 1) * dt_eff
-        coeffs = stepper.step(coeffs, t, t_next)
+        half = stepper.step(half, t, t_next)
         t = t_next
-        ssq = float(np.sum(np.abs(coeffs) ** 2))
+        # the squared coefficient norm of the full spectrum -N..N, summed by
+        # numpy rather than BLAS, whose idle threads would wake and raise the
+        # peak memory of a run that makes no other BLAS call
+        ssq = 2.0 * float(np.square(half.view(np.float64)).sum()) - abs(half[0]) ** 2
         if not np.isfinite(ssq) or ssq > blow_limit:
             raise BlowUpError(f"blow-up detected at t = {t:.6g}", last_valid_time=times[-1])
         if (i + 1) % record_every == 0 or i + 1 == n_steps:
             times.append(t)
-            states.append(SpectralField(n, coeffs.copy()))
+            states.append(SpectralField(n, conjugate_extend(half)))
 
     meta = {
         "dt": dt_eff,
@@ -603,15 +645,16 @@ class DecayFit:
 def decay_fit(record: TrajectoryRecord, window: tuple) -> DecayFit:
     """Least-squares exponential fit of the fluctuation norm over a window.
 
-    Fits log||v(t)|| = log(M ||v(0)||) - rate * t.  Samples whose norm has
-    underflowed are dropped with a warning.
+    Fits log||v(t)|| = log(M ||v(0)||) - rate * t.  Samples whose norm is at
+    most 1e-280 are dropped: with a warning when the norm is positive (it has
+    underflowed), silently when it is exactly zero (the state is zero).
     """
     t0, t1 = window
     sel = (record.times >= t0) & (record.times <= t1)
-    positive = record.l2norms > 1e-280
-    if np.any(sel & ~positive):
+    usable = record.l2norms > 1e-280
+    if np.any(sel & ~usable & (record.l2norms > 0)):
         warnings.warn("fit window truncated: norm underflow")
-    sel &= positive
+    sel &= usable
     if np.count_nonzero(sel) < 2:
         raise ValueError("fit window holds fewer than two usable samples")
     t = record.times[sel]

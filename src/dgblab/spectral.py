@@ -191,17 +191,19 @@ def _transport_grid(n: int) -> tuple:
     return m, ik
 
 
-def transport(half: np.ndarray) -> np.ndarray:
+def transport(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Dealiased quadratic transport d/dx of v^2 on the half spectrum k = 0..N.
 
     The square is formed pointwise on a grid with M >= 3N+1 points, which
     makes the retained coefficients k <= N alias-free, then truncated and
     differentiated.  The k = 0 output vanishes identically.
 
+    The result is written into `out` (N+1 complex coefficients) when given,
+    else into a new array, and returned.
     The transforms are numpy's pocketfft gufuncs, the kernels `np.fft.irfft`
     and `np.fft.rfft` wrap, called without the wrappers' argument handling
-    (hence numpy >= 2.0, < 3).  The output buffers are allocated per call,
-    so concurrent calls share nothing.
+    (hence numpy >= 2.0, < 3).  The grid scratch is allocated per call, so
+    concurrent calls with distinct `out` share nothing.
     """
     n = half.size - 1
     m, ik = _transport_grid(n)
@@ -210,7 +212,7 @@ def transport(half: np.ndarray) -> np.ndarray:
     # i k / M carries the one scaling
     vals = _pocketfft_umath.irfft(half, 1.0, out=np.empty(m))
     square = _pocketfft_umath.rfft_n_even(vals * vals, 1.0, out=np.empty(m // 2 + 1, np.complex128))
-    return ik * square[: n + 1]
+    return np.multiply(ik, square[: n + 1], out)
 
 
 def nonlinear_term(v: SpectralField) -> SpectralField:

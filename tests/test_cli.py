@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -222,6 +223,23 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [["init.amplitude=0", "time.t_final=0.1"], ["fit.t0=5", "fit.t1=6", "time.t_final=0.1"]],
+        ids=["zero-state", "window-past-end"],
+    )
+    def test_unusable_fit_leaves_no_artifact(self, tmp_path, capsys, overrides):
+        # rejected before the integration or the first artifact, without warnings
+        out = tmp_path / "stab"
+        args = ["stabilize", "--out", str(out)]
+        for item in overrides:
+            args += ["--override", item]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "argv",

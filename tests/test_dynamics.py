@@ -1,5 +1,9 @@
 """Tests for the semigroup, closed loop, and the damped integrator."""
 
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,6 +30,7 @@ from dgblab.spectral import (
     cosine_field,
     l2_norm,
     mean,
+    project_mean_zero,
     random_field,
     zero_field,
 )
@@ -270,15 +275,18 @@ class TestIntegrator:
         assert mean(out) == 0.4
 
     def test_step_output_exactly_real(self, table, bump):
-        # conjugate symmetry and the mean hold by construction, not to rounding
+        # conjugate symmetry and the mean hold by construction, not to rounding:
+        # the field a recorded half spectrum extends to is exactly real
         from dgblab.dynamics import Etdrk4Integrator
+        from dgblab.spectral import conjugate_extend
 
         n = 32
         stepper = Etdrk4Integrator(table, bump, n, 1e-3)
         v = constant_field(n, 0.3) + random_field(n, np.random.default_rng(19), decay=1.5)
-        c = v.coeffs.copy()
+        h = v.half
         for i in range(200):
-            c = stepper.step(c, i * 1e-3)
+            h = stepper.step(h, i * 1e-3)
+            c = conjugate_extend(h)
             assert np.array_equal(c, np.conj(c[::-1]))
             assert c[n] == v.coeffs[n]
 
@@ -316,7 +324,7 @@ class TestIntegrator:
         rng = np.random.default_rng(17)
         for _ in range(3):
             v = random_field(n, rng, decay=0.5)
-            got = stepper.nonlinearity(v.coeffs[n:].copy(), 0.0)
+            got = stepper.nonlinearity(v.half, 0.0, np.empty(n + 1, dtype=complex))
             expected = -nonlinear_term(v).coeffs[n:]
             assert np.abs(got - expected).max() < 1e-13
 
@@ -335,7 +343,7 @@ class TestIntegrator:
             return (mat @ x.view(np.float64)).view(np.complex128)
 
         def nonlin(x):
-            return stepper.nonlinearity(x, 0.0)
+            return stepper.nonlinearity(x, 0.0, np.empty(n + 1, dtype=complex))
 
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -349,7 +357,7 @@ class TestIntegrator:
             c = lin(e_half, a) + lin(q, 2.0 * nb - nv)
             nc = nonlin(c)
             expected = lin(e_full, u) + lin(f1, nv) + 2.0 * lin(f2, na + nb) + lin(f3, nc)
-            got = stepper.step(v.coeffs.copy(), 0.0)[n:]
+            got = stepper.step(v.half, 0.0)
             assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
     def test_tiny_amplitude_matches_linear_bump(self, table, bump):
@@ -387,10 +395,94 @@ class TestIntegrator:
         assert scaled[0] == pytest.approx(scaled[1], rel=0.05)
 
 
+class TestStepContract:
+    """`step` maps a half spectrum to the integrator's own read-only buffer."""
+
+    @pytest.fixture(params=["bump", "global"])
+    def make_stepper(self, request, bump, global_profile):
+        from dgblab.dynamics import Etdrk4Integrator
+
+        profile = bump if request.param == "bump" else global_profile
+        table = build_symbols(BENJAMIN, 32)
+        return lambda: Etdrk4Integrator(table, profile, 32, 1e-3)
+
+    @staticmethod
+    def trajectory(stepper, half, steps, copy_back):
+        out = []
+        for i in range(steps):
+            half = stepper.step(half.copy() if copy_back else half, i * 1e-3)
+            out.append(half.copy())
+        return np.array(out)
+
+    def test_argument_unchanged(self, make_stepper):
+        half = random_field(32, np.random.default_rng(4), amplitude=0.5, decay=1.0).half.copy()
+        before = half.copy()
+        out = make_stepper().step(half, 0.0)
+        assert np.array_equal(half, before)
+        assert not np.shares_memory(out, half)
+        assert not out.flags.writeable
+
+    def test_returned_buffer_fed_back(self, make_stepper):
+        v = random_field(32, np.random.default_rng(5), amplitude=0.5, decay=1.0)
+        fed = self.trajectory(make_stepper(), v.half, 50, copy_back=False)
+        copied = self.trajectory(make_stepper(), v.half, 50, copy_back=True)
+        assert np.array_equal(fed, copied)
+
+    def test_integrators_built_alike_agree_bitwise(self, make_stepper):
+        v = constant_field(32, 0.2) + random_field(32, np.random.default_rng(6), decay=1.0)
+        first = self.trajectory(make_stepper(), v.half, 200, copy_back=False)
+        second = self.trajectory(make_stepper(), v.half, 200, copy_back=False)
+        assert np.array_equal(first, second)
+
+
+def test_integrators_step_concurrently(bump):
+    # each integrator owns its workspace, so two stepping at once in threads
+    # (as `sweep` runs its configs) give the serial results bit for bit
+    from dgblab.dynamics import Etdrk4Integrator
+
+    n, steps = 32, 400
+    table = build_symbols(BENJAMIN, n)
+    starts = [random_field(n, np.random.default_rng(seed), amplitude=0.5).half for seed in (1, 2)]
+
+    def run(start, out):
+        stepper = Etdrk4Integrator(table, bump, n, 1e-3)
+        half = start
+        for i in range(steps):
+            half = stepper.step(half, i * 1e-3)
+            out.append(half.copy())
+
+    serial = []
+    for start in starts:
+        serial.append([])
+        run(start, serial[-1])
+    threaded = [[], []]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(s, o)) for s, o in zip(starts, threaded)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for got, expected in zip(threaded, serial):
+        assert len(got) == steps
+        assert np.array_equal(np.array(got), np.array(expected))
+
+
 class TestSimulate:
     def test_zero_initial_state(self, table, global_profile):
         rec = simulate(table, global_profile, zero_field(16), 0.1, 1e-2)
         assert np.all(rec.l2norms == 0.0)
+
+    def test_recorded_norms_and_means_of_the_states(self, table, bump):
+        # read off each state's coefficients, bit for bit the field functions' values
+        v0 = constant_field(16, 0.3) + random_field(16, np.random.default_rng(12), decay=1.0)
+        rec = simulate(table, bump, v0, 0.05, 1e-3, record_every=5)
+        assert rec.l2norms.tolist() == [l2_norm(project_mean_zero(s)) for s in rec.states]
+        assert rec.means.tolist() == [mean(s) for s in rec.states]
 
     def test_mean_invariance_with_offset(self, global_profile):
         u0 = constant_field(16, 0.3) + cosine_field(16, 1, 0.1)
@@ -475,7 +567,7 @@ class TestDecayFit:
 
     def test_underflow_window_truncated(self):
         times = np.linspace(0.0, 10.0, 11)
-        norms = np.concatenate([np.exp(-times[:6]), np.zeros(5)])
+        norms = np.concatenate([np.exp(-times[:6]), np.full(5, 1e-300)])
         rec = TrajectoryRecord(
             times=times,
             states=tuple(zero_field(2) for _ in times),
@@ -485,5 +577,22 @@ class TestDecayFit:
             run_meta={},
         )
         with pytest.warns(UserWarning, match="underflow"):
+            fit = decay_fit(rec, (0.0, 10.0))
+        assert fit.n_samples == 6
+
+    def test_zero_norms_dropped_without_warning(self):
+        # a zero state has not underflowed: its samples leave the fit silently
+        times = np.linspace(0.0, 10.0, 11)
+        norms = np.concatenate([np.exp(-times[:6]), np.zeros(5)])
+        rec = TrajectoryRecord(
+            times=times,
+            states=tuple(zero_field(2) for _ in times),
+            l2norms=norms,
+            means=np.zeros_like(times),
+            energy_residuals=None,
+            run_meta={},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit = decay_fit(rec, (0.0, 10.0))
         assert fit.n_samples == 6

@@ -177,9 +177,9 @@ class TestNonlinearTerm:
 
     def test_transport_bit_identical_to_np_fft(self):
         # transport calls numpy's private pocketfft gufuncs; their results
-        # must equal the public np.fft formula exactly, for every grid size
-        # M = 8..1024 (M = 3N+1 exactly at n = 21 and 85), also when two
-        # threads call it at once (as `sweep` does)
+        # must equal the public np.fft formula exactly, with or without
+        # `out`, for every grid size M = 8..1024 (M = 3N+1 exactly at n = 21
+        # and 85), also when two threads call it at once (as `sweep` does)
         rng = np.random.default_rng(23)
         halves, expected = [], []
         for n in range(1, 200):
@@ -190,6 +190,8 @@ class TestNonlinearTerm:
             k = np.arange(n + 1)
             ref = 1j * m * k * np.fft.rfft(np.fft.irfft(half, m) ** 2)[: n + 1]
             assert np.array_equal(transport(half), ref), n
+            out = np.empty(n + 1, dtype=complex)
+            assert transport(half, out) is out and np.array_equal(out, ref), n
             halves.append(half)
             expected.append(ref)
 
