@@ -323,10 +323,15 @@ def _write_snapshots(out_dir: Path, record):
 
 
 def _write_control(out_dir: Path, solution):
-    fields = solution.fields
-    times = np.repeat(solution.times, [f.coeffs.size for f in fields])
-    ks = np.concatenate([f.wavenumbers for f in fields])
-    coeffs = np.concatenate([f.coeffs for f in fields])
+    """Write `control.csv`: a row (t, k, re, im) per sample time and k = 0..N.
+
+    The control is a real field, so its negative modes are the conjugates
+    of the rows written, and are not written.
+    """
+    n_times, width = solution.samples.shape
+    times = np.repeat(solution.times, width)
+    ks = np.tile(np.arange(width), n_times)
+    coeffs = solution.samples.ravel()
     write_csv(
         out_dir / "control.csv", ["t", "k", "re", "im"], [times, ks, coeffs.real, coeffs.imag]
     )

@@ -14,6 +14,8 @@ is certified by re-simulating the forced nonlinear system.  That forcing is
 evaluated on the half spectrum k = 0..N the integrator steps, with the
 integrator's own transport kernel (`spectral.transport`), so no field object
 is built per stage.
+Every route returns its control as one array of half spectra, a row of
+coefficients k = 0..N per sample time; no field object is built per sample.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .spectral import (
     conjugate_extend,
     l2_norm,
     mean,
-    sobolev_norm,
     transport,
 )
 from .symbols import ModelParams, SymbolTable, build_symbols
@@ -75,10 +76,16 @@ class ControlProblem:
 
 @dataclass(eq=False)
 class ControlSolution:
-    """A synthesized control with its certified terminal error."""
+    """A synthesized control with its certified terminal error.
+
+    `samples` is a read-only (n_times, N+1) complex array: row i holds the
+    coefficients k = 0..N of the control at `times[i]`, with a real k = 0
+    entry.  The control is a real field, so its negative modes are the
+    conjugates of these.
+    """
 
     times: np.ndarray
-    fields: tuple
+    samples: np.ndarray
     control_norm: float
     terminal_error: float
     method: str
@@ -90,6 +97,13 @@ class ControlSolution:
                 f"non-finite steering certificate: terminal error {self.terminal_error}, "
                 f"control norm {self.control_norm}"
             )
+        self.samples.setflags(write=False)
+
+    @property
+    def fields(self) -> tuple:
+        """The control at each sample time as a field, built from `samples` on every access."""
+        n = self.samples.shape[1] - 1
+        return tuple(SpectralField(n, conjugate_extend(h)) for h in self.samples)
 
 
 def gram_matrix(table: SymbolTable, mode_set, horizon: float) -> np.ndarray:
@@ -229,6 +243,8 @@ def _observability_gramian(eigenbasis, q, horizon):
 
 # time samples of a synthesized linear control on [0, T]
 _CONTROL_SAMPLES = 129
+# time samples of the nonlinear control on [0, T], each one evaluation of its forcing
+_NONLINEAR_CONTROL_SAMPLES = 65
 
 
 def linear_control_gramian(problem: ControlProblem) -> ControlSolution:
@@ -268,16 +284,17 @@ def linear_control_gramian(problem: ControlProblem) -> ControlSolution:
     mu, vecs, inv = loop.eigenbasis
     # row i: e^{(T - t_i) A^T} xi = V^{-T} (e^{(T - t_i) mu} o V^T xi), then B^T
     modal = np.exp(np.outer(p.horizon - times, mu)) * (vecs.T @ xi)
-    samples = (modal @ (inv @ b_mat)).real
-    fields = tuple(_real_field(h, n) for h in samples)
+    real = (modal @ (inv @ b_mat)).real
+    # the interleaved (Re, Im) columns are the modes 1..N; the mean is not steered
+    samples = np.zeros((times.size, n + 1), dtype=np.complex128)
+    samples[:, 1:] = real[:, 0::2] + 1j * real[:, 1::2]
 
     v_final = _certify_linear(loop.eigenbasis, b_mat, xi, v0r, p.horizon)
     err = l2_norm(_real_field(v_final - v1r, n)) / max(l2_norm(p.v1), 1e-12)
-    norm = _control_norm(times, fields, p.s)
     return ControlSolution(
         times=times,
-        fields=fields,
-        control_norm=norm,
+        samples=samples,
+        control_norm=_control_norm(times, samples, p.s),
         terminal_error=float(err),
         method="gramian",
         info={
@@ -294,7 +311,7 @@ def linear_control_global_modal(problem: ControlProblem) -> ControlSolution:
     With g = 1/(2 pi) the damped loop is diagonal: every quantity of the
     Gramian construction has a scalar closed form.  It is computed on the
     modes k = 1..N, whose conjugates are the negative modes, so the control
-    fields are real by construction.  Serves as the independent oracle for
+    is real by construction.  Serves as the independent oracle for
     the matrix route.
     """
     p = problem
@@ -314,26 +331,34 @@ def linear_control_global_modal(problem: ControlProblem) -> ControlSolution:
     xi = (v1s - flow_t * v0s) / w_diag
 
     times = np.linspace(0.0, big_t, _CONTROL_SAMPLES)
-    fields = tuple(
-        _real_field((np.exp((-1j * lam - d) * (big_t - t)) * xi / TWO_PI).view(np.float64), n)
-        for t in times
-    )
+    samples = np.zeros((times.size, n + 1), dtype=np.complex128)
+    samples[:, 1:] = np.exp(np.outer(big_t - times, -1j * lam - d)) * xi / TWO_PI
     v_final = flow_t * v0s + w_diag * xi
     # the negative modes double the squared norm of the half
     err = np.sqrt(2.0 * TWO_PI) * np.linalg.norm(v_final - v1s) / max(l2_norm(p.v1), 1e-12)
     return ControlSolution(
         times=times,
-        fields=fields,
-        control_norm=_control_norm(times, fields, p.s),
+        samples=samples,
+        control_norm=_control_norm(times, samples, p.s),
         terminal_error=float(err),
         method="per-mode",
         info={"gramian_min_eig": float(w_diag.min())},
     )
 
 
-def _control_norm(times: np.ndarray, fields, s: float) -> float:
-    vals = np.array([sobolev_norm(f, s) ** 2 for f in fields])
-    return float(np.sqrt(np.trapezoid(vals, times)))
+def _control_norm(times: np.ndarray, samples: np.ndarray, s: float) -> float:
+    """Time-L^2 of the H^s norm: sqrt of the trapezoid rule of sobolev_norm(h(t), s)^2.
+
+    Each row is conjugate-extended and summed over -N..N as `sobolev_norm`
+    sums a field, and each norm is squared as a Python float, as
+    `sobolev_norm(f, s) ** 2` is (libm's pow, which can differ from x * x
+    in the last bit), so the result has the bits of the per-field formula.
+    """
+    n = samples.shape[1] - 1
+    full = np.concatenate([np.conj(samples[:, :0:-1]), samples], axis=1)
+    weights = (1.0 + np.abs(np.arange(-n, n + 1))) ** (2.0 * s)
+    norms = np.sqrt(TWO_PI * np.sum(weights * np.abs(full) ** 2, axis=1))
+    return float(np.sqrt(np.trapezoid([v**2 for v in norms.tolist()], times)))
 
 
 def _check_endpoint_resolution(u: SpectralField, label: str):
@@ -389,12 +414,12 @@ def nonlinear_control_global(problem: ControlProblem, dt: float = 1e-3) -> Contr
     err = l2_norm(final - p.v1.with_cutoff(n)) / max(l2_norm(p.v1), 1e-12)
 
     # the control h = h1 + 2 pi d/dx u^2 is the forcing divided by the gain
-    times = np.linspace(0.0, big_t, 65)
-    fields = tuple(SpectralField(n, conjugate_extend(TWO_PI * forcing(t))) for t in times)
+    times = np.linspace(0.0, big_t, _NONLINEAR_CONTROL_SAMPLES)
+    samples = np.stack([TWO_PI * forcing(t) for t in times])
     return ControlSolution(
         times=times,
-        fields=fields,
-        control_norm=_control_norm(times, fields, p.s),
+        samples=samples,
+        control_norm=_control_norm(times, samples, p.s),
         terminal_error=float(err),
         method="per-mode",
         info={"dt": dt, "certificate_steps": record.run_meta["n_steps"]},

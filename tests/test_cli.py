@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tomllib
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +22,7 @@ from dgblab.cli import EXPERIMENTS, main, parse_config, run, write_csv
 from dgblab.damping import make_profile_bump
 from dgblab.dynamics import build_closed_loop
 from dgblab.errors import ConfigError
+from dgblab.spectral import conjugate_extend
 from dgblab.symbols import BENJAMIN, build_symbols
 
 BENJAMIN_CFG = """
@@ -512,3 +514,49 @@ def test_write_csv_matches_per_value_format(tmp_path):
 
     write_csv(tmp_path / "empty.csv", ["a", "b"], zip(*[]))
     assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+
+@pytest.mark.parametrize(
+    "experiment, solver, n, overrides",
+    [
+        ("control-linear", "linear_control_gramian", 8, ["profile.kind=bump"]),
+        ("control-nonlinear", "nonlinear_control_global", 16, []),
+    ],
+    ids=["control-linear", "control-nonlinear"],
+)
+def test_control_csv_round_trips_the_half_spectrum(tmp_path, monkeypatch, experiment, solver, n, overrides):
+    # control.csv holds k = 0..N per sample time, and %.17g reads back to the
+    # same bits; conjugate-extending each time's rows gives the full band -N..N
+    solutions = []
+    synthesize = getattr(dgblab.cli, solver)
+
+    def capture(*args, **kwargs):
+        solutions.append(synthesize(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(dgblab.cli, solver, capture)
+    args = [experiment, "--out", str(tmp_path), "--override", f"grid.n={n}"]
+    for item in overrides:
+        args += ["--override", item]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0
+    (solution,) = solutions
+    n_times = solution.times.size
+
+    lines = (tmp_path / "control.csv").read_text().splitlines()
+    assert lines[0] == "t,k,re,im"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == (n + 1) * n_times
+    t, k, re, im = zip(*rows)
+    assert np.array_equal(np.array(t, dtype=float), np.repeat(solution.times, n + 1))
+    assert [int(x) for x in k] == list(range(n + 1)) * n_times
+    re, im = np.array(re, dtype=float), np.array(im, dtype=float)
+    assert np.array_equal(re, solution.samples.real.ravel())
+    assert np.array_equal(im, solution.samples.imag.ravel())
+    for half, field in zip((re + 1j * im).reshape(n_times, n + 1), solution.fields, strict=True):
+        assert np.array_equal(conjugate_extend(half), field.coeffs)
+
+
+def test_version_matches_pyproject():
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        assert dgblab.__version__ == tomllib.load(f)["project"]["version"]

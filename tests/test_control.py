@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 from dgblab.control import (
     ControlProblem,
     _certify_linear,
+    _control_norm,
     _observability_gramian,
     _propagated_gramian,
     biorthogonal_family,
@@ -35,6 +36,7 @@ from dgblab.spectral import (
     l2_norm,
     mean,
     random_field,
+    sobolev_norm,
     zero_field,
 )
 from dgblab.symbols import BENJAMIN, build_symbols
@@ -210,6 +212,29 @@ def _rk_terminal_state(a_mat, b_mat, xi, v0_state, horizon, rtol=1e-11):
     )
     assert sol_v.success, sol_v.message
     return sol_v.y[:, -1]
+
+
+class TestControlNorm:
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "route, profile",
+        [(linear_control_gramian, "bump"), (linear_control_global_modal, "global_profile")],
+        ids=["gramian", "modal"],
+    )
+    def test_matches_per_field_formula_bit_for_bit(self, request, route, profile, s):
+        # with this draw, integrating the squared sums instead of the squared
+        # norms moves the last bit in three of the four cases
+        rng = np.random.default_rng(2)
+        v0 = random_field(12, rng, decay=1.5)
+        v1 = random_field(12, rng, decay=1.5)
+        prob = ControlProblem(BENJAMIN, request.getfixturevalue(profile), 12, 1.0, v0, v1, s=s)
+        sol = route(prob)
+        per_field = np.array([sobolev_norm(f, s) ** 2 for f in sol.fields])
+        expected = float(np.sqrt(np.trapezoid(per_field, sol.times)))
+        assert _control_norm(sol.times, sol.samples, s) == expected
+        assert sol.control_norm == expected
+        with pytest.raises(ValueError):
+            sol.samples[0, 1] = 0.0
 
 
 class TestCertificate:
