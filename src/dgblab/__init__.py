@@ -73,4 +73,4 @@ from .control import (
     observability_constant,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

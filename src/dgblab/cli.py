@@ -308,13 +308,11 @@ def _write_trajectory(out_dir: Path, record):
 
 
 def _spectral_dump(field_):
-    return {
-        "n_modes": field_.n_modes,
-        "coeffs": [[float(c.real), float(c.imag)] for c in field_.coeffs],
-    }
+    return {"n_modes": field_.n_modes, "coeffs": [[c.real, c.imag] for c in field_.half.tolist()]}
 
 
 def _write_snapshots(out_dir: Path, record):
+    """Write `snapshots.json`: the first and last recorded states, as coefficients k = 0..N each."""
     data = {
         "initial": {"t": float(record.times[0]), "state": _spectral_dump(record.states[0])},
         "final": {"t": float(record.times[-1]), "state": _spectral_dump(record.states[-1])},

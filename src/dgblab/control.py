@@ -103,7 +103,7 @@ class ControlSolution:
     def fields(self) -> tuple:
         """The control at each sample time as a field, built from `samples` on every access."""
         n = self.samples.shape[1] - 1
-        return tuple(SpectralField(n, conjugate_extend(h)) for h in self.samples)
+        return tuple(SpectralField(n, h) for h in self.samples)
 
 
 def gram_matrix(table: SymbolTable, mode_set, horizon: float) -> np.ndarray:
@@ -355,7 +355,7 @@ def _control_norm(times: np.ndarray, samples: np.ndarray, s: float) -> float:
     in the last bit), so the result has the bits of the per-field formula.
     """
     n = samples.shape[1] - 1
-    full = np.concatenate([np.conj(samples[:, :0:-1]), samples], axis=1)
+    full = conjugate_extend(samples)
     weights = (1.0 + np.abs(np.arange(-n, n + 1))) ** (2.0 * s)
     norms = np.sqrt(TWO_PI * np.sum(weights * np.abs(full) ** 2, axis=1))
     return float(np.sqrt(np.trapezoid([v**2 for v in norms.tolist()], times)))

@@ -148,7 +148,7 @@ def make_profile_bump(a: float, b: float, n_modes: int, delta: float) -> Damping
         0.0,
     )
     raw = to_spectral(GridField(vals), n_modes)
-    center = raw.coeffs[n_modes].real
+    center = raw.half[0].real
     if center <= 0:
         raise ProfileError("sampled gain has nonpositive mean")
     ghat = raw.coeffs * (1.0 / (TWO_PI * center))
@@ -165,7 +165,7 @@ def make_profile_bump(a: float, b: float, n_modes: int, delta: float) -> Damping
 
 def gain_field(p: DampingProfile) -> SpectralField:
     """The gain g itself as a spectral field on its band -K..K."""
-    return SpectralField(p.k_modes, p.ghat)
+    return SpectralField(p.k_modes, p.ghat[p.k_modes :])
 
 
 def _ghat_at(p: DampingProfile, rows: np.ndarray, cols=0) -> np.ndarray:
@@ -190,7 +190,7 @@ def apply_gain(p: DampingProfile, v: SpectralField) -> SpectralField:
     w[n] -= TWO_PI * np.vdot(p.ghat[kk - m : kk + m + 1], w[n - m : n + m + 1]).real
     out = np.convolve(p.ghat, w)
     out[n + kk] = 0.0
-    return SpectralField(n + kk, out)
+    return SpectralField.from_coeffs(n + kk, out)
 
 
 def _fractional(delta: float):
@@ -206,8 +206,7 @@ def apply_feedback(p: DampingProfile, v: SpectralField) -> SpectralField:
 
 def apply_dissipation_part(p: DampingProfile, v: SpectralField) -> SpectralField:
     """Diagonal piece: multiplication by d(k), zero at k = 0."""
-    d = p.d_symbol(v.wavenumbers)
-    return SpectralField(v.n_modes, d * v.coeffs)
+    return apply_multiplier(v, p.d_symbol)
 
 
 def apply_smoothing_remainder(p: DampingProfile, v: SpectralField) -> SpectralField:
@@ -224,7 +223,7 @@ def apply_smoothing_remainder(p: DampingProfile, v: SpectralField) -> SpectralFi
     diag = np.diagonal(mat[center - n : center + n + 1, :])
     out[center - n : center + n + 1] -= diag * v.coeffs
     out[center] = 0.0
-    return SpectralField(n + 2 * p.k_modes, out)
+    return SpectralField.from_coeffs(n + 2 * p.k_modes, out)
 
 
 def apply_mean_correction(p: DampingProfile, v: SpectralField) -> SpectralField:
@@ -237,12 +236,12 @@ def apply_mean_correction(p: DampingProfile, v: SpectralField) -> SpectralField:
     kk = p.k_modes
     g = gain_field(p)
     dg = apply_multiplier(g, _fractional(p.delta))
-    gdg = SpectralField(2 * kk, np.convolve(p.ghat, dg.coeffs))
+    gdg = SpectralField.from_coeffs(2 * kk, np.convolve(p.ghat, dg.coeffs))
     s1, s2, s3 = l2_inner(v, g), l2_inner(v, gdg), l2_inner(dg, g)
     out = -s1 * gdg.coeffs
     out[kk : 3 * kk + 1] += (-s2 + s1 * s3) * p.ghat
     out[2 * kk] += s2 / TWO_PI
-    return SpectralField(2 * kk, out)
+    return SpectralField.from_coeffs(2 * kk, out)
 
 
 def decomposition_residual(p: DampingProfile, v: SpectralField) -> float:

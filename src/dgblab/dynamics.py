@@ -21,7 +21,7 @@ from .errors import BlowUpError, DgbError, ProfileError
 from .spectral import (
     TWO_PI,
     SpectralField,
-    conjugate_extend,
+    apply_multiplier,
     constant_field,
     mean,
     project_mean_zero,
@@ -72,10 +72,7 @@ def semigroup_apply(
         raise ValueError("backward-time propagation rejected: dissipation runs forward only")
     if v0.n_modes > table.n_modes:
         raise ValueError("state band exceeds the symbol table")
-    ks = v0.wavenumbers
-    lam = table.eig(ks)
-    d = profile.d_symbol(ks)
-    return SpectralField(v0.n_modes, np.exp((1j * lam - d) * t) * v0.coeffs)
+    return apply_multiplier(v0, lambda ks: np.exp((1j * table.eig(ks) - profile.d_symbol(ks)) * t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,15 +175,12 @@ def field_to_state(v: SpectralField, n_modes: int) -> np.ndarray:
 
 def _real_coords(v: SpectralField, n_modes: int) -> np.ndarray:
     """Interleaved (Re, Im) of the modes 1..N: the coordinates `_real_form` acts on."""
-    return v.with_cutoff(n_modes).coeffs[n_modes + 1 :].view(np.float64)
+    return v.with_cutoff(n_modes).half[1:].view(np.float64)
 
 
 def _real_field(x: np.ndarray, n_modes: int, mean: float = 0.0) -> SpectralField:
-    """The real field with mean `mean` whose modes 1..N have interleaved (Re, Im) x.
-
-    Built from its half spectrum through `conjugate_extend`.
-    """
-    return SpectralField(n_modes, conjugate_extend(np.concatenate([[mean], x[0::2] + 1j * x[1::2]])))
+    """The real field with mean `mean` whose modes 1..N have interleaved (Re, Im) x."""
+    return SpectralField(n_modes, np.concatenate([[mean], x[0::2] + 1j * x[1::2]]))
 
 
 def linear_propagate(loop: LinearClosedLoop, v0: SpectralField, t: float) -> SpectralField:
@@ -486,7 +480,7 @@ def nonlinear_step(
     `forcing`, when given, maps t to the coefficients k = 0..N of the forcing.
     """
     stepper = Etdrk4Integrator(table, profile, v.n_modes, dt, forcing)
-    return SpectralField(v.n_modes, conjugate_extend(stepper.step(v.half, t)))
+    return SpectralField(v.n_modes, stepper.step(v.half, t))
 
 
 def simulate(
@@ -554,7 +548,8 @@ def _run_once(table, profile, v0, t_final, dt, forcing, record_every) -> Traject
             raise BlowUpError(f"blow-up detected at t = {t:.6g}", last_valid_time=times[-1])
         if (i + 1) % record_every == 0 or i + 1 == n_steps:
             times.append(t)
-            states.append(SpectralField(n, conjugate_extend(half)))
+            # the field copies the step's buffer, which the next step overwrites
+            states.append(SpectralField(n, half))
 
     meta = {
         "dt": dt_eff,

@@ -1,13 +1,14 @@
 """Truncated Fourier calculus for real 2*pi-periodic functions.
 
-Convention: a field is v(x) = sum_k vhat(k) e^{ikx} with coefficients stored
-for k in {-N, ..., N}.  Fields are real-valued, so the coefficient array is
-kept exactly Hermitian-symmetric (vhat(-k) == conj(vhat(k))) with a real
-k = 0 entry.  The half spectrum of a field is its coefficients k = 0..N, the
-negative modes being their conjugates.  It is the one format a real field
-is built from: the grid transforms, the integrator and the reference
-propagators produce a half spectrum and `conjugate_extend` it, and
-`transport` is the kernel on it.  Norms use the weighted convention
+Convention: a field is v(x) = sum_k vhat(k) e^{ikx} with |k| <= N.  Fields
+are real-valued, so vhat(-k) == conj(vhat(k)) and vhat(0) is real: a field
+stores its half spectrum, the coefficients k = 0..N, and is real by
+construction.  The full band -N..N (`coeffs`) is derived from it by
+`conjugate_extend`; a full band from outside enters through
+`SpectralField.from_coeffs`, which checks its Hermitian symmetry.  The grid
+transforms, the integrator and the reference propagators work on the half
+spectrum, and `transport` is the kernel on it.  Norms use the weighted
+convention
 
     norm(v, s)^2 = 2*pi * sum_k (1 + |k|)^{2s} |vhat(k)|^2,
 
@@ -33,36 +34,50 @@ _SYMMETRY_TOL = 1e-12
 class SpectralField:
     """Fourier coefficients of a real periodic function, cut off at |k| <= N.
 
-    Construction symmetrises the coefficients exactly; inputs violating
-    Hermitian symmetry by more than a 1e-12 relative residue are rejected.
-    Instances are immutable values, safe to share between threads.
+    `half` holds the coefficients k = 0..N.  Construction copies it, so a
+    field never aliases a buffer its caller reuses (the integrator's output),
+    zeroes the imaginary part of k = 0 and makes no check: every half
+    spectrum is a real field.  Instances are immutable, thread-safe values.
     """
 
     n_modes: int
-    coeffs: np.ndarray
+    half: np.ndarray
 
     def __post_init__(self):
         n = self.n_modes
         if n < 0:
             raise ValueError("mode cutoff must be nonnegative")
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if coeffs.shape != (2 * n + 1,):
-            raise ValueError(f"expected {2 * n + 1} coefficients, got shape {coeffs.shape}")
+        half = np.array(self.half, dtype=np.complex128)
+        if half.shape != (n + 1,):
+            raise ValueError(f"expected {n + 1} coefficients k = 0..N, got shape {half.shape}")
+        half[0] = half[0].real
+        half.setflags(write=False)
+        object.__setattr__(self, "half", half)
+
+    @classmethod
+    def from_coeffs(cls, n_modes: int, coeffs) -> "SpectralField":
+        """The field of the full band -N..N, symmetrised exactly.
+
+        Coefficients that are not finite, or violate Hermitian symmetry by
+        more than a 1e-12 relative residue, are rejected.
+        """
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        if coeffs.shape != (2 * n_modes + 1,):
+            raise ValueError(f"expected {2 * n_modes + 1} coefficients, got shape {coeffs.shape}")
         flipped = np.conj(coeffs[::-1])
         scale = max(1.0, float(np.abs(coeffs).max(initial=0.0)))
-        if float(np.abs(coeffs - flipped).max(initial=0.0)) > _SYMMETRY_TOL * scale:
+        if not float(np.abs(coeffs - flipped).max(initial=0.0)) <= _SYMMETRY_TOL * scale < np.inf:
             raise HermitianSymmetryError(
-                "coefficients are not Hermitian-symmetric; field would not be real"
+                "coefficients are not finite and Hermitian-symmetric; field would not be real"
             )
-        sym = 0.5 * (coeffs + flipped)
-        sym[n] = sym[n].real
-        sym.setflags(write=False)
-        object.__setattr__(self, "coeffs", sym)
+        return cls(n_modes, 0.5 * (coeffs[n_modes:] + flipped[n_modes:]))
 
     @property
-    def half(self) -> np.ndarray:
-        """The half spectrum: a read-only view of the coefficients k = 0..N."""
-        return self.coeffs[self.n_modes :]
+    def coeffs(self) -> np.ndarray:
+        """The coefficients -N..N: a read-only array derived from `half` on every access."""
+        full = conjugate_extend(self.half)
+        full.setflags(write=False)
+        return full
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -72,34 +87,32 @@ class SpectralField:
         """vhat(k); zero outside the stored band."""
         if abs(k) > self.n_modes:
             return 0j
-        return complex(self.coeffs[k + self.n_modes])
+        c = complex(self.half[abs(k)])
+        return c if k >= 0 else c.conjugate()
 
     def with_cutoff(self, n: int) -> "SpectralField":
         """Pad with zeros or truncate to the cutoff n."""
         if n == self.n_modes:
             return self
-        out = np.zeros(2 * n + 1, dtype=np.complex128)
-        m = min(n, self.n_modes)
-        out[n - m : n + m + 1] = self.coeffs[self.n_modes - m : self.n_modes + m + 1]
-        return SpectralField(n, out)
+        return SpectralField(n, np.append(self.half[: n + 1], np.zeros(max(0, n - self.n_modes))))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         n = max(self.n_modes, other.n_modes)
-        return SpectralField(n, self.with_cutoff(n).coeffs + other.with_cutoff(n).coeffs)
+        return SpectralField(n, self.with_cutoff(n).half + other.with_cutoff(n).half)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         n = max(self.n_modes, other.n_modes)
-        return SpectralField(n, self.with_cutoff(n).coeffs - other.with_cutoff(n).coeffs)
+        return SpectralField(n, self.with_cutoff(n).half - other.with_cutoff(n).half)
 
     def __mul__(self, scalar) -> "SpectralField":
-        if isinstance(scalar, complex) and scalar.imag != 0.0:
+        if np.imag(scalar) != 0.0:
             raise TypeError("scaling a real field by a non-real scalar")
-        return SpectralField(self.n_modes, self.coeffs * float(np.real(scalar)))
+        return SpectralField(self.n_modes, self.half * float(np.real(scalar)))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.n_modes, -self.coeffs)
+        return SpectralField(self.n_modes, -self.half)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,21 +142,20 @@ class GridField:
 
 
 def conjugate_extend(half: np.ndarray) -> np.ndarray:
-    """The coefficients -N..N of the real field whose half spectrum is `half`."""
-    return np.concatenate([np.conj(half[:0:-1]), half])
+    """The coefficients -N..N of the real field with half spectrum `half` (along the last axis)."""
+    return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
 
 
 def to_spectral(grid: GridField, n_modes: int) -> SpectralField:
     """Discrete Fourier coefficients of grid samples, cut off at |k| <= n_modes.
 
-    Requires M >= 2N+1 so that no represented mode is aliased.  The half
-    spectrum k = 0..N is read off the DFT and conjugate-extended, so the
-    field is real by construction.
+    Requires M >= 2N+1 so that no represented mode is aliased.  The field
+    is the half spectrum k = 0..N read off the DFT.
     """
     m = grid.m
     if m < 2 * n_modes + 1:
         raise AliasingError(f"need at least {2 * n_modes + 1} grid points for cutoff {n_modes}, got {m}")
-    return SpectralField(n_modes, conjugate_extend(np.fft.fft(grid.values)[: n_modes + 1] / m))
+    return SpectralField(n_modes, np.fft.fft(grid.values)[: n_modes + 1] / m)
 
 
 def to_grid(v: SpectralField, m_points: int) -> GridField:
@@ -163,12 +175,12 @@ def apply_multiplier(v: SpectralField, symbol) -> SpectralField:
 
     `symbol` is either a vectorised callable of the wavenumbers or an array
     over {-N..N}.  Symbols with symbol(-k) != conj(symbol(k)) would produce a
-    non-real field and are rejected by the output constructor.
+    non-real field and are rejected by `SpectralField.from_coeffs`.
     """
     sym = np.asarray(symbol(v.wavenumbers) if callable(symbol) else symbol, dtype=np.complex128)
-    if sym.shape != v.coeffs.shape:
+    if sym.shape != (2 * v.n_modes + 1,):
         raise ValueError("symbol table does not match the coefficient band")
-    return SpectralField(v.n_modes, sym * v.coeffs)
+    return SpectralField.from_coeffs(v.n_modes, sym * v.coeffs)
 
 
 def derivative_x(v: SpectralField) -> SpectralField:
@@ -217,7 +229,7 @@ def transport(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def nonlinear_term(v: SpectralField) -> SpectralField:
     """Dealiased quadratic transport term d/dx of v^2 (`transport` on the field)."""
-    return SpectralField(v.n_modes, conjugate_extend(transport(v.half)))
+    return SpectralField(v.n_modes, transport(v.half))
 
 
 def sobolev_norm(v: SpectralField, s: float) -> float:
@@ -241,22 +253,22 @@ def l2_inner(u: SpectralField, v: SpectralField) -> float:
 
 def mean(v: SpectralField) -> float:
     """Spatial average (1/2pi) * integral of v, i.e. vhat(0)."""
-    return float(v.coeffs[v.n_modes].real)
+    return float(v.half[0].real)
 
 
 def project_mean_zero(v: SpectralField) -> SpectralField:
-    out = v.coeffs.copy()
-    out[v.n_modes] = 0.0
+    out = v.half.copy()
+    out[0] = 0.0
     return SpectralField(v.n_modes, out)
 
 
 def zero_field(n_modes: int) -> SpectralField:
-    return SpectralField(n_modes, np.zeros(2 * n_modes + 1, dtype=np.complex128))
+    return SpectralField(n_modes, np.zeros(n_modes + 1, dtype=np.complex128))
 
 
 def constant_field(n_modes: int, value: float) -> SpectralField:
-    out = np.zeros(2 * n_modes + 1, dtype=np.complex128)
-    out[n_modes] = value
+    out = np.zeros(n_modes + 1, dtype=np.complex128)
+    out[0] = value
     return SpectralField(n_modes, out)
 
 
@@ -264,9 +276,8 @@ def cosine_field(n_modes: int, wavenumber: int, amplitude: float = 1.0) -> Spect
     """amplitude * cos(wavenumber * x)."""
     if not 0 < wavenumber <= n_modes:
         raise ValueError("wavenumber must lie in 1..n_modes")
-    out = np.zeros(2 * n_modes + 1, dtype=np.complex128)
-    out[n_modes + wavenumber] = amplitude / 2.0
-    out[n_modes - wavenumber] = amplitude / 2.0
+    out = np.zeros(n_modes + 1, dtype=np.complex128)
+    out[wavenumber] = amplitude / 2.0
     return SpectralField(n_modes, out)
 
 
@@ -274,9 +285,8 @@ def sine_field(n_modes: int, wavenumber: int, amplitude: float = 1.0) -> Spectra
     """amplitude * sin(wavenumber * x)."""
     if not 0 < wavenumber <= n_modes:
         raise ValueError("wavenumber must lie in 1..n_modes")
-    out = np.zeros(2 * n_modes + 1, dtype=np.complex128)
-    out[n_modes + wavenumber] = amplitude / 2j
-    out[n_modes - wavenumber] = np.conj(amplitude / 2j)
+    out = np.zeros(n_modes + 1, dtype=np.complex128)
+    out[wavenumber] = amplitude / 2j
     return SpectralField(n_modes, out)
 
 
@@ -288,11 +298,9 @@ def random_field(
     mean_zero: bool = True,
 ) -> SpectralField:
     """Random real field with coefficients damped like (1+|k|)^{-decay}."""
-    out = np.zeros(2 * n_modes + 1, dtype=np.complex128)
+    out = np.zeros(n_modes + 1, dtype=np.complex128)
     for k in range(1, n_modes + 1):
-        c = (rng.standard_normal() + 1j * rng.standard_normal()) * (1.0 + k) ** (-decay)
-        out[n_modes + k] = c
-        out[n_modes - k] = np.conj(c)
+        out[k] = (rng.standard_normal() + 1j * rng.standard_normal()) * (1.0 + k) ** (-decay)
     if not mean_zero:
-        out[n_modes] = rng.standard_normal()
+        out[0] = rng.standard_normal()
     return SpectralField(n_modes, amplitude * out)

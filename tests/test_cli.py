@@ -557,6 +557,43 @@ def test_control_csv_round_trips_the_half_spectrum(tmp_path, monkeypatch, experi
         assert np.array_equal(conjugate_extend(half), field.coeffs)
 
 
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [
+        ("simulate", ["profile.kind=bump", "grid.n=16", "time.t_final=0.5", "init.mean=0.3"]),
+        ("stabilize", ["grid.n=16", "init.kind=random", "time.t_final=1"]),
+    ],
+    ids=["simulate-nonzero-mean", "stabilize-random"],
+)
+def test_snapshots_round_trip_the_half_spectrum(tmp_path, monkeypatch, experiment, overrides):
+    # snapshots.json holds k = 0..N of the first and last states, and JSON floats
+    # read back to the same bits; conjugate-extending them gives the full band -N..N
+    records = []
+    integrate = dgblab.cli.simulate_damped
+
+    def capture(*args, **kwargs):
+        records.append(integrate(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(dgblab.cli, "simulate_damped", capture)
+    args = [experiment, "--out", str(tmp_path)]
+    for item in overrides:
+        args += ["--override", item]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0
+    (record,) = records
+
+    data = json.loads((tmp_path / "snapshots.json").read_text())
+    for key, i in (("initial", 0), ("final", -1)):
+        state = record.states[i]
+        assert data[key]["t"] == record.times[i]
+        assert data[key]["state"]["n_modes"] == state.n_modes == 16
+        half = np.array([complex(re, im) for re, im in data[key]["state"]["coeffs"]])
+        assert half.size == state.n_modes + 1
+        assert np.array_equal(conjugate_extend(half), state.coeffs)
+        assert half.tobytes() == state.half.tobytes()
+
+
 def test_version_matches_pyproject():
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
         assert dgblab.__version__ == tomllib.load(f)["project"]["version"]

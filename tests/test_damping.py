@@ -173,7 +173,7 @@ class TestFeedbackDecomposition:
         assert l2_norm(apply_mean_correction(global_profile, v)) < 1e-16
         lhs = apply_feedback(global_profile, v)
         ks = v.wavenumbers
-        expected = SpectralField(16, np.abs(ks) ** global_profile.delta * v.coeffs / FOUR_PI_SQ)
+        expected = SpectralField.from_coeffs(16, np.abs(ks) ** global_profile.delta * v.coeffs / FOUR_PI_SQ)
         assert l2_norm(lhs - expected) < 1e-12 * l2_norm(v)
         assert l2_norm(lhs - apply_dissipation_part(global_profile, v)) < 1e-12 * l2_norm(v)
 

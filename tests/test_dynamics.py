@@ -422,6 +422,15 @@ class TestStepContract:
         assert not np.shares_memory(out, half)
         assert not out.flags.writeable
 
+    def test_field_does_not_alias_the_step_buffer(self, make_stepper):
+        stepper = make_stepper()
+        half = stepper.step(random_field(32, np.random.default_rng(6), amplitude=0.5).half, 0.0)
+        v = SpectralField(32, half)
+        before = half.copy()
+        stepper.step(half, 1e-3)
+        assert not np.array_equal(half, before)
+        assert np.array_equal(v.half, before)
+
     def test_returned_buffer_fed_back(self, make_stepper):
         v = random_field(32, np.random.default_rng(5), amplitude=0.5, decay=1.0)
         fed = self.trajectory(make_stepper(), v.half, 50, copy_back=False)

@@ -52,7 +52,7 @@ def convolution_transport(v):
             if abs(b) <= n:
                 acc += v.coeff(a) * v.coeff(b)
         out[k + n] = 1j * k * acc
-    return SpectralField(n, out)
+    return SpectralField.from_coeffs(n, out)
 
 
 class TestTransforms:
@@ -106,7 +106,18 @@ class TestTransforms:
     def test_hermitian_violation_rejected(self):
         bad = np.array([0.3 + 0.1j, 1.0, 0.5 + 0.2j])
         with pytest.raises(HermitianSymmetryError):
-            SpectralField(1, bad)
+            SpectralField.from_coeffs(1, bad)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_non_finite_rejected(self, at, value):
+        # a NaN residue (inf - inf is one) compares false against the tolerance;
+        # it must not pass as symmetric
+        coeffs = np.array([1.0 + 5j, 2.0, 1.0 - 5j])
+        coeffs[at] = value
+        with pytest.raises(HermitianSymmetryError):
+            SpectralField.from_coeffs(1, coeffs)
 
 
 class TestMultipliers:
@@ -259,6 +270,47 @@ class TestNormsAndMeans:
     def test_inner_product_orthogonality(self):
         assert l2_inner(cosine_field(4, 1), sine_field(4, 1)) == pytest.approx(0.0, abs=1e-15)
         assert l2_inner(cosine_field(4, 1), cosine_field(4, 1)) == pytest.approx(np.pi)
+
+
+class TestHalfSpectrum:
+    def test_imaginary_mean_zeroed(self):
+        v = SpectralField(2, np.array([0.5 + 0.25j, 1.0 - 2.0j, 3.0j]))
+        assert v.half[0] == 0.5 and v.half[0].imag == 0.0
+        assert np.array_equal(v.half[1:], [1.0 - 2.0j, 3.0j])
+        assert np.array_equal(v.coeffs, [-3.0j, 1.0 + 2.0j, 0.5, 1.0 - 2.0j, 3.0j])
+
+    def test_coefficients_copied_and_read_only(self):
+        half = np.array([1.0, 2.0 + 1.0j])
+        v = SpectralField(1, half)
+        half[1] = 7.0
+        assert v.coeff(1) == 2.0 + 1.0j and v.coeff(-1) == 2.0 - 1.0j
+        assert not v.half.flags.writeable and not v.coeffs.flags.writeable
+
+    def test_one_post_init_per_field(self, monkeypatch):
+        calls = []
+        post_init = SpectralField.__post_init__
+
+        def counted(field):
+            calls.append(field)
+            post_init(field)
+
+        monkeypatch.setattr(SpectralField, "__post_init__", counted)
+        a = SpectralField(2, np.zeros(3))
+        b = SpectralField.from_coeffs(2, np.array([0.0, 0.5, 1.0, 0.5, 0.0]))
+        assert calls == [a, b]
+
+    @pytest.mark.parametrize(
+        "scalar",
+        [1 + 2j, np.complex128(1 + 2j), np.complex64(1 + 2j), np.array(1 + 2j), np.array(2j, np.complex64)],
+        ids=["complex", "complex128", "complex64", "0d-complex128", "0d-complex64"],
+    )
+    def test_non_real_scalar_rejected(self, scalar):
+        with pytest.raises(TypeError):
+            cosine_field(4, 1) * scalar
+
+    @pytest.mark.parametrize("scalar", [2, 2 + 0j, np.complex64(2), np.array(2.0)])
+    def test_real_scalar_scales(self, scalar):
+        assert (cosine_field(4, 1) * scalar).coeff(1) == 1.0
 
 
 class TestHermitianPreservation:
