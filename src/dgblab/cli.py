@@ -312,10 +312,10 @@ def _spectral_dump(field_):
 
 
 def _write_snapshots(out_dir: Path, record):
-    """Write `snapshots.json`: the first and last recorded states, as coefficients k = 0..N each."""
+    """Write `snapshots.json`: the run's two endpoint states, as coefficients k = 0..N each."""
     data = {
-        "initial": {"t": float(record.times[0]), "state": _spectral_dump(record.states[0])},
-        "final": {"t": float(record.times[-1]), "state": _spectral_dump(record.states[-1])},
+        "initial": {"t": float(record.times[0]), "state": _spectral_dump(record.initial)},
+        "final": {"t": float(record.times[-1]), "state": _spectral_dump(record.final)},
     }
     (out_dir / "snapshots.json").write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 

@@ -410,8 +410,7 @@ def nonlinear_control_global(problem: ControlProblem, dt: float = 1e-3) -> Contr
         return phase * drift + transport(phase * (u0 + t * drift))
 
     record = simulate(table0, None, p.v0.with_cutoff(n), big_t, dt, forcing=forcing, record_every=10**9)
-    final = record.states[-1]
-    err = l2_norm(final - p.v1.with_cutoff(n)) / max(l2_norm(p.v1), 1e-12)
+    err = l2_norm(record.final - p.v1.with_cutoff(n)) / max(l2_norm(p.v1), 1e-12)
 
     # the control h = h1 + 2 pi d/dx u^2 is the forcing divided by the gain
     times = np.linspace(0.0, big_t, _NONLINEAR_CONTROL_SAMPLES)

@@ -32,23 +32,27 @@ from .symbols import ModelParams, SymbolTable, build_symbols
 
 @dataclass(eq=False)
 class TrajectoryRecord:
-    """Sampled run diagnostics.
+    """Sampled run diagnostics and the run's two endpoint states.
 
-    `l2norms` holds the mean-removed L^2 norm of each state (the quantity the
-    decay statements are about); `energy_residuals` aligns with `times` and is
-    NaN at the stencil edges, or None when no damping profile applies.
+    `l2norms` holds the mean-removed L^2 norm of the state at each of `times`
+    (the quantity the decay statements are about); `energy_residuals` aligns
+    with `times` and is NaN at the stencil edges, or None when no damping
+    profile applies.  `initial` and `final` are the states at times[0] and
+    times[-1]; the states in between are not kept.
     """
 
     times: np.ndarray
-    states: tuple
+    initial: SpectralField
+    final: SpectralField
     l2norms: np.ndarray
     means: np.ndarray
     energy_residuals: np.ndarray | None
     run_meta: dict
 
     def __post_init__(self):
-        if self.times.size != len(self.states):
-            raise ValueError("times and states disagree")
+        columns = (self.times, self.l2norms, self.means, self.energy_residuals)
+        if len({c.size for c in columns if c is not None}) != 1:
+            raise ValueError("times, l2norms, means and energy_residuals disagree in length")
         if self.times.size >= 2 and np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
@@ -199,29 +203,37 @@ def linear_propagate(loop: LinearClosedLoop, v0: SpectralField, t: float) -> Spe
     return _real_field(x, loop.n_modes, mean(v0))
 
 
+def _time_grid(t_final: float, dt: float) -> tuple:
+    """(n_steps, dt_eff): the step count nearest t_final/dt, at least one, and t_final/n_steps."""
+    if not t_final > 0 or not dt > 0 or not np.isfinite(t_final / dt):
+        raise ValueError("need positive t_final and dt, with a finite step count t_final/dt")
+    n_steps = max(1, round(t_final / dt))
+    return n_steps, t_final / n_steps
+
+
 def linear_trajectory(
     loop: LinearClosedLoop, v0: SpectralField, t_final: float, dt: float
 ) -> TrajectoryRecord:
     """Step the closed loop's real form with one precomputed exponential per dt.
 
     The recorded fields carry the mean of v0, and `l2norms` are their
-    fluctuation norms.
+    fluctuation norms; only the first and last field are kept.
     """
-    if dt <= 0 or t_final <= 0:
-        raise ValueError("need positive dt and t_final")
-    n_steps = max(1, round(t_final / dt))
-    dt_eff = t_final / n_steps
+    n_steps, dt_eff = _time_grid(t_final, dt)
     stepper = _expm(dt_eff * loop.real_generator)
     mu = mean(v0)
     x = _real_coords(v0, loop.n_modes)
-    states = [_real_field(x, loop.n_modes, mu)]
+    initial = _real_field(x, loop.n_modes, mu)
+    l2norms = [_fluctuation_norm(initial)]
     for _ in range(n_steps):
         x = stepper @ x
-        states.append(_real_field(x, loop.n_modes, mu))
+        final = _real_field(x, loop.n_modes, mu)
+        l2norms.append(_fluctuation_norm(final))
     return TrajectoryRecord(
         times=dt_eff * np.arange(n_steps + 1),
-        states=tuple(states),
-        l2norms=np.array([_fluctuation_norm(s) for s in states]),
+        initial=initial,
+        final=final,
+        l2norms=np.array(l2norms),
         means=np.full(n_steps + 1, mu),
         energy_residuals=None,
         run_meta={"kind": "linear", "dt": dt_eff, "n_modes": loop.n_modes},
@@ -491,47 +503,43 @@ def simulate(
     dt: float,
     forcing=None,
     record_every: int = 1,
-    energy_tol: float | None = None,
-    max_halvings: int = 4,
 ) -> TrajectoryRecord:
     """Integrate to t_final, recording diagnostics every record_every steps.
 
-    When energy_tol is given, the run is repeated with halved dt until the
-    worst energy-identity residual is below tolerance.  Divergence raises,
+    Each recorded state is built once, its fluctuation norm, mean and (under
+    a profile) dissipation rate are recorded, and only the first and last
+    state are kept, so memory does not grow with the run.  Divergence raises,
     carrying the last valid time.  `run_meta` records the effective dt, the
     step count and the spectral abscissa of the generator that was stepped.
     `forcing`, when given, maps t to the coefficients k = 0..N of the forcing
     (the negative modes are their conjugates).  It must be a pure function of
     t: the integrator evaluates it once per distinct stage time, 2 n_steps + 1
-    times per attempt, and does not mutate the returned array.
+    times, and does not mutate the returned array.
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    dt_try = dt
-    for attempt in range(max_halvings + 1):
-        record = _run_once(table, profile, v0, t_final, dt_try, forcing, record_every)
-        if energy_tol is None or record.energy_residuals is None:
-            return record
-        worst = np.nanmax(np.abs(record.energy_residuals))
-        if worst <= energy_tol:
-            return record
-        dt_try /= 2.0
-    warnings.warn("energy residual stayed above tolerance after all halvings")
-    return record
-
-
-def _run_once(table, profile, v0, t_final, dt, forcing, record_every) -> TrajectoryRecord:
+    n_steps, dt_eff = _time_grid(t_final, dt)
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
     n = v0.n_modes
-    n_steps = max(1, round(t_final / dt))
-    dt_eff = t_final / n_steps
     stepper = Etdrk4Integrator(table, profile, n, dt_eff, forcing)
+    # the stencil needs uniform sampling; a trailing partial interval disables it
+    with_residual = (
+        profile is not None and n_steps % record_every == 0 and n_steps >= 4 * record_every
+    )
 
     # floored at an absolute scale, so that a forced run from rest does not
     # count its first step as a blow-up
     blow_limit = 1e12 * max(float(np.sum(np.abs(v0.coeffs) ** 2)), 1.0)
 
-    times = [0.0]
-    states = [v0]
+    times, l2norms, means, rates = [], [], [], []
+
+    def record(t, v):
+        times.append(t)
+        l2norms.append(_fluctuation_norm(v))
+        means.append(mean(v))
+        if with_residual:
+            rates.append(dissipation_form(profile, v))
+
+    record(0.0, v0)
     half = v0.half
     t = 0.0
     for i in range(n_steps):
@@ -547,29 +555,27 @@ def _run_once(table, profile, v0, t_final, dt, forcing, record_every) -> Traject
         if not np.isfinite(ssq) or ssq > blow_limit:
             raise BlowUpError(f"blow-up detected at t = {t:.6g}", last_valid_time=times[-1])
         if (i + 1) % record_every == 0 or i + 1 == n_steps:
-            times.append(t)
             # the field copies the step's buffer, which the next step overwrites
-            states.append(SpectralField(n, half))
+            final = SpectralField(n, half)
+            record(t, final)
 
-    meta = {
-        "dt": dt_eff,
-        "n_steps": n_steps,
-        "n_modes": n,
-        "record_every": record_every,
-        "spectral_abscissa": stepper.spectral_abscissa,
-    }
-    record = TrajectoryRecord(
-        times=np.array(times),
-        states=tuple(states),
-        l2norms=np.array([_fluctuation_norm(s) for s in states]),
-        means=np.array([mean(s) for s in states]),
-        energy_residuals=None,
-        run_meta=meta,
+    times, l2norms = np.array(times), np.array(l2norms)
+    resid = energy_residual(times, l2norms, np.array(rates)) if with_residual else None
+    return TrajectoryRecord(
+        times=times,
+        initial=v0,
+        final=final,
+        l2norms=l2norms,
+        means=np.array(means),
+        energy_residuals=resid,
+        run_meta={
+            "dt": dt_eff,
+            "n_steps": n_steps,
+            "n_modes": n,
+            "record_every": record_every,
+            "spectral_abscissa": stepper.spectral_abscissa,
+        },
     )
-    # the stencil needs uniform sampling; a trailing partial interval disables it
-    if profile is not None and len(states) >= 5 and n_steps % record_every == 0:
-        record.energy_residuals = energy_residual(record, profile)
-    return record
 
 
 def simulate_damped(
@@ -584,48 +590,43 @@ def simulate_damped(
 
     The mean of u0 is conserved by the dynamics, so the run shifts to the
     mean-zero variable, folds the induced drift 2*mu*d/dx into the symbol
-    table, and adds the mean back into the recorded states.
+    table, and adds the mean back into the recorded means and the endpoints.
     """
     mu0 = mean(u0)
     table = build_symbols(replace(params, mu=mu0), u0.n_modes)
-    v0 = project_mean_zero(u0)
-    rec = simulate(table, profile, v0, t_final, dt, **kwargs)
+    rec = simulate(table, profile, project_mean_zero(u0), t_final, dt, **kwargs)
     shift = constant_field(u0.n_modes, mu0)
-    states = tuple(s + shift for s in rec.states)
-    meta = dict(rec.run_meta)
-    meta["mean"] = mu0
-    return TrajectoryRecord(
-        times=rec.times,
-        states=states,
-        l2norms=rec.l2norms,
+    return replace(
+        rec,
+        initial=rec.initial + shift,
+        final=rec.final + shift,
         means=np.full(rec.times.size, mu0),
-        energy_residuals=rec.energy_residuals,
-        run_meta=meta,
+        run_meta={**rec.run_meta, "mean": mu0},
     )
 
 
-def energy_residual(record: TrajectoryRecord, profile: DampingProfile) -> np.ndarray:
+def energy_residual(times: np.ndarray, l2norms: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Defect of the energy balance d/dt (1/2)||v||^2 = -||D^{delta/2} G v||^2.
 
-    The time derivative is taken with the five-point fourth-order central
-    stencil on the recording grid (matching the integrator's order, so
-    halving dt with a fixed step count shrinks the residual about 16x).
-    Entries are normalized by the initial squared norm; edges are NaN.
+    `l2norms` and `rates` are the fluctuation norms and dissipation rates
+    (`dissipation_form`) of the states at `times`.  The time derivative is
+    taken with the five-point fourth-order central stencil on the recording
+    grid (matching the integrator's order, so halving dt with a fixed step
+    count shrinks the residual about 16x).  Entries are normalized by the
+    initial squared norm; edges are NaN.
     """
-    times = record.times
     if times.size < 5:
         raise ValueError("need at least 5 samples for the five-point stencil")
     steps = np.diff(times)
     h = steps[0]
     if np.any(np.abs(steps - h) > 1e-9 * h):
         raise ValueError("energy residual requires uniform sampling")
-    energy = 0.5 * record.l2norms**2
-    dissip = np.array([dissipation_form(profile, s) for s in record.states])
+    energy = 0.5 * l2norms**2
     out = np.full(times.size, np.nan)
     j = np.arange(2, times.size - 2)
     d_dt = (-energy[j + 2] + 8.0 * energy[j + 1] - 8.0 * energy[j - 1] + energy[j - 2]) / (12.0 * h)
-    norm0_sq = max(record.l2norms[0] ** 2, 1e-300)
-    out[j] = (d_dt + dissip[j]) / norm0_sq
+    norm0_sq = max(l2norms[0] ** 2, 1e-300)
+    out[j] = (d_dt + rates[j]) / norm0_sq
     return out
 
 

@@ -584,8 +584,7 @@ def test_snapshots_round_trip_the_half_spectrum(tmp_path, monkeypatch, experimen
     (record,) = records
 
     data = json.loads((tmp_path / "snapshots.json").read_text())
-    for key, i in (("initial", 0), ("final", -1)):
-        state = record.states[i]
+    for key, i, state in (("initial", 0, record.initial), ("final", -1, record.final)):
         assert data[key]["t"] == record.times[i]
         assert data[key]["state"]["n_modes"] == state.n_modes == 16
         half = np.array([complex(re, im) for re, im in data[key]["state"]["coeffs"]])
