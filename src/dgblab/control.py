@@ -26,13 +26,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .damping import DampingProfile, gain_matrix
+from .damping import DampingProfile
 from .dynamics import (
     LinearClosedLoop,
     _expm,
     _real_coords,
     _real_field,
-    _real_form,
+    _real_gain,
     build_closed_loop,
     simulate,
 )
@@ -67,8 +67,8 @@ class ControlProblem:
     s: float = 0.0
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
         m0, m1 = mean(self.v0), mean(self.v1)
         if abs(m0 - m1) > 1e-14 * max(1.0, abs(m0)):
             raise ValueError("endpoint means must agree: the mean is uncontrollable")
@@ -263,7 +263,7 @@ def linear_control_gramian(problem: ControlProblem) -> ControlSolution:
     table = build_symbols(p.params, p.n_modes)
     n = p.n_modes
     loop = build_closed_loop(table, p.profile, n)
-    b_mat = _real_form(gain_matrix(p.profile, loop.modes, loop.modes), n)
+    b_mat = _real_gain(p.profile, n)
 
     gram, flow = _propagated_gramian(loop.real_generator, b_mat @ b_mat.T, p.horizon)
     eigs = np.linalg.eigvalsh(gram)
@@ -445,16 +445,15 @@ def observability_constant(
     mean-zero truncation and returns c_obs = 1 / min-eigenvalue, normalized
     so that ||v0||^2 <= c_obs * observed energy.  Energy balance forces
     c_obs > 2.  G is Hermitian, so the observed energy's weight
-    (D^{delta/2} G)* (D^{delta/2} G) = G D^delta G is the loop's feedback
-    matrix, read from the loop.  Built in the loop's real form, so the
+    (D^{delta/2} G)* (D^{delta/2} G) = G D^delta G is the loop's feedback,
+    read as its real form `real_damping`.  Built in that real form, so the
     minimizing state is a real field by construction.  O comes in closed form
     (`_observability_gramian`) from the loop's cached eigenbasis, which the
     abscissa of `decay_rate_predict` also reads; the tests hold it against
     the Pade block exponential of `_propagated_gramian`.
     """
     loop = build_closed_loop(table, profile, n_modes)
-    q = _real_form(loop.damping_matrix, n_modes)
-    eigvals, eigvecs = np.linalg.eigh(_observability_gramian(loop.eigenbasis, q, horizon))
+    eigvals, eigvecs = np.linalg.eigh(_observability_gramian(loop.eigenbasis, loop.real_damping, horizon))
     lam_min = float(eigvals[0])
     if lam_min <= 0:
         raise ObservabilityFailureError(f"observability Gramian lost positivity: {lam_min:.3e}")

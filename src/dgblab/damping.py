@@ -7,8 +7,8 @@ The actuation operator built from a nonnegative gain g with unit integral is
 and the stabilizing feedback composes it with a fractional derivative:
 G D^delta G.  `apply_gain` applies G as a convolution with ghat, with no
 matrix formed; `gain_matrix` and `feedback_matrix` build the matrices of G
-and G D^delta G per call, for the closed loop to own.  In coefficient
-space that composition splits exactly into
+and G D^delta G per call, as temporaries of the closed loop's real forms.
+In coefficient space that composition splits exactly into
 
     G D^delta G = Dtilde + N1 + R,
 

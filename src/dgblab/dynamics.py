@@ -16,7 +16,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .damping import DampingProfile, dissipation_form, feedback_matrix
+from .damping import DampingProfile, dissipation_form, feedback_matrix, gain_matrix
 from .errors import BlowUpError, DgbError, ProfileError
 from .spectral import (
     TWO_PI,
@@ -69,11 +69,12 @@ def semigroup_apply(
 ) -> SpectralField:
     """Modewise propagator exp(i lam(k) t - d(k) t); forward time only.
 
-    Backward requests are rejected: the dissipative factors would grow.  The
-    mean mode propagates with factor one and the L^2 norm contracts.
+    Backward requests are rejected: the dissipative factors would grow; so is
+    a non-finite t.  The mean mode propagates with factor one and the L^2
+    norm contracts.
     """
-    if t < 0:
-        raise ValueError("backward-time propagation rejected: dissipation runs forward only")
+    if not 0 <= t < np.inf:
+        raise ValueError("need a finite t >= 0: dissipation runs forward only")
     if v0.n_modes > table.n_modes:
         raise ValueError("state band exceeds the symbol table")
     return apply_multiplier(v0, lambda ks: np.exp((1j * table.eig(ks) - profile.d_symbol(ks)) * t))
@@ -81,22 +82,16 @@ def semigroup_apply(
 
 @dataclass(frozen=True, eq=False)
 class LinearClosedLoop:
-    """Damped linear generator on the 2N mean-zero modes.
+    """Damped generator A and feedback B in real form, on the modes 1..N.
 
-    The loop owns the generator's real form and its one eigenbasis, computed
-    the first time the abscissa, the integrator, the steering controls, the
-    steering certificate or the observability Gramian need it.
+    Both are read-only and act on `_real_coords`.  The loop also owns A's one
+    eigenbasis, computed the first time the abscissa, the integrator, the
+    steering controls, the certificate or the observability Gramian need it.
     """
 
     n_modes: int
-    modes: np.ndarray
-    generator: np.ndarray
-    damping_matrix: np.ndarray
-
-    @cached_property
-    def real_generator(self) -> np.ndarray:
-        """The generator's real form (`_real_form`), with the same spectrum."""
-        return _real_form(self.generator, self.n_modes)
+    real_generator: np.ndarray
+    real_damping: np.ndarray
 
     @cached_property
     def eigenbasis(self) -> tuple:
@@ -108,19 +103,33 @@ class LinearClosedLoop:
         return float(self.eigenbasis[0].real.max())
 
 
+def _galerkin_modes(n_modes: int) -> np.ndarray:
+    """The mean-zero modes [-N..-1, 1..N] of the complex Galerkin matrices."""
+    return np.concatenate([np.arange(-n_modes, 0), np.arange(1, n_modes + 1)])
+
+
 def build_closed_loop(table: SymbolTable, profile: DampingProfile, n_modes: int) -> LinearClosedLoop:
-    """Assemble A = diag(i lam(k)) - B on the mean-zero modes.
+    """Real forms of A = diag(i lam(k)) - B and of B on the mean-zero modes.
 
     B is the Galerkin matrix of the damping feedback: Hermitian positive
     semidefinite, so A generates a contraction semigroup on the truncation.
+    The complex matrices are temporaries; the loop keeps their `_real_form`s.
     """
     if n_modes > table.n_modes:
         raise ValueError("n_modes exceeds the symbol table band")
-    modes = np.concatenate([np.arange(-n_modes, 0), np.arange(1, n_modes + 1)])
+    modes = _galerkin_modes(n_modes)
     b = feedback_matrix(profile, modes)
-    b.setflags(write=False)
     a = np.diag(1j * table.eig(modes)) - b
-    return LinearClosedLoop(n_modes=n_modes, modes=modes, generator=a, damping_matrix=b)
+    real_a, real_b = _real_form(a, n_modes), _real_form(b, n_modes)
+    for mat in (real_a, real_b):
+        mat.setflags(write=False)
+    return LinearClosedLoop(n_modes=n_modes, real_generator=real_a, real_damping=real_b)
+
+
+def _real_gain(profile: DampingProfile, n_modes: int) -> np.ndarray:
+    """The real form of the gain G on the mean-zero modes: the steering actuator."""
+    modes = _galerkin_modes(n_modes)
+    return _real_form(gain_matrix(profile, modes, modes), n_modes)
 
 
 def _eigenbasis(mat: np.ndarray) -> tuple:
@@ -172,11 +181,6 @@ def _expm(mat: np.ndarray) -> np.ndarray:
     return r
 
 
-def field_to_state(v: SpectralField, n_modes: int) -> np.ndarray:
-    c = v.with_cutoff(n_modes).coeffs
-    return np.concatenate([c[:n_modes], c[n_modes + 1 :]])
-
-
 def _real_coords(v: SpectralField, n_modes: int) -> np.ndarray:
     """Interleaved (Re, Im) of the modes 1..N: the coordinates `_real_form` acts on."""
     return v.with_cutoff(n_modes).half[1:].view(np.float64)
@@ -194,8 +198,8 @@ def linear_propagate(loop: LinearClosedLoop, v0: SpectralField, t: float) -> Spe
     acts on the modes 1..N of v0, the mean is carried over, and the output
     is real by construction.
     """
-    if t < 0:
-        raise ValueError("backward-time propagation rejected")
+    if not t >= 0:
+        raise ValueError("need t >= 0: backward-time propagation rejected")
     x0 = _real_coords(v0, loop.n_modes)
     x = _expm(t * loop.real_generator) @ x0
     if np.linalg.norm(x) > np.linalg.norm(x0) * (1.0 + 1e-10) + 1e-300:
@@ -350,10 +354,8 @@ class Etdrk4Integrator:
     may be passed that view back.  An integrator is therefore used by one
     thread at a time; separate integrators share nothing mutable.
 
-    An ill-conditioned eigenbasis raises ProfileError.  `generator` is the
-    closed-loop generator on the mean-zero modes when the feedback couples
-    modes, and None when it is diagonal.  `spectral_abscissa` is the
-    abscissa of the stepped generator: the loop's, or max(-d(k)) over
+    An ill-conditioned eigenbasis raises ProfileError.  `spectral_abscissa`
+    is the abscissa of the stepped generator: the loop's, or max(-d(k)) over
     k = 1..N when it is diagonal.
     """
 
@@ -365,8 +367,8 @@ class Etdrk4Integrator:
         dt: float,
         forcing=None,
     ):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         if n_modes > table.n_modes:
             raise ValueError("n_modes exceeds the symbol table band")
         self.n_modes = n_modes
@@ -379,7 +381,6 @@ class Etdrk4Integrator:
 
         if profile is not None and profile.k_modes > 0:
             loop = build_closed_loop(table, profile, n_modes)
-            self.generator = loop.generator
             self.spectral_abscissa = loop.spectral_abscissa
             eigs, vecs, inv = loop.eigenbasis
             eigs = dt * eigs
@@ -412,7 +413,6 @@ class Etdrk4Integrator:
             z[0] = 0.0
             e_full, e_half = np.exp(z), np.exp(z / 2.0)
             q, f1, f2, f3 = [dt * w for w in _etdrk4_weights(z)]
-            self.generator = None
             self.spectral_abscissa = float(-d[1:].min(initial=np.inf))
             self._stage_c = (e_half, q)
             self._final = (e_full, f1, f2, f3)

@@ -92,7 +92,8 @@ def build_symbols(params: ModelParams, n_modes: int) -> SymbolTable:
 
     Fractional powers |k|^{2m}, |k|^{2r} vanish at k = 0, so lam(0) = 0 and
     lam is exactly odd (the float expressions for +-k are identical up to an
-    exact sign flip).
+    exact sign flip).  A non-finite a(k) or lam(k), such as |k|^{2m}
+    overflowing for a large m, raises DgbError.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
@@ -101,6 +102,8 @@ def build_symbols(params: ModelParams, n_modes: int) -> SymbolTable:
     absk = np.abs(ks)
     a = -p.beta * absk ** (2.0 * p.m) + p.alpha * absk ** (2.0 * p.r) - 2.0 * p.mu
     lam = ks * a
+    if not (np.isfinite(a).all() and np.isfinite(lam).all()):
+        raise DgbError(f"symbols overflow on the band |k| <= {n_modes}: a(k) or lam(k) is not finite")
     table = SymbolTable(params=p, n_modes=n_modes, a=a, lam=lam)
     if not np.array_equal(table.lam, -table.lam[::-1]):
         raise DgbError("tabulated eigenvalues are not exactly odd in k")
@@ -140,7 +143,7 @@ def multiplicity_scan(table: SymbolTable, tol: float = 0.0) -> MultiplicityRepor
     a class exceeds the multiplicity bound of 5, which would falsify the
     structural assumption and must never happen for admissible parameters.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     ks = table.wavenumbers
     lam = table.lam
@@ -231,7 +234,7 @@ def resonance_check(table: SymbolTable, n_max: int, a_threshold: int = 1) -> Res
         |lam(k1) + lam(k2) + lam(k3)| / (max|kj|^{2m} * min|kj|).
 
     A positive minimum certifies the resonance lower bound with that
-    empirical constant on the scanned range.
+    empirical constant on the scanned range; a non-finite one raises DgbError.
     """
     if n_max > table.n_modes:
         raise ValueError("n_max exceeds the tabulated band")
@@ -252,6 +255,8 @@ def resonance_check(table: SymbolTable, n_max: int, a_threshold: int = 1) -> Res
     sums = table.eig(k1) + table.eig(k2) + table.eig(k3)
     ratios = np.abs(sums) / (kmax ** (2.0 * table.params.m) * kmin)
     idx = int(np.argmin(ratios))
+    if not np.isfinite(ratios[idx]):
+        raise DgbError(f"resonance scan overflowed: minimum ratio {ratios[idx]}")
     witness = (int(k1[idx]), int(k2[idx]), int(k3[idx]))
     return ResonanceReport(float(ratios[idx]), witness, n_max, a_threshold, int(ratios.size))
 
@@ -285,7 +290,8 @@ def modulation_check(
 
     is attained where the two magnitudes coincide, giving the closed form
     <|lam(k) - lam(n)| / (<k>^delta + <n>^delta)>.  The report returns the
-    minimum over pairs of that value divided by max(<k>, <n>)^{2m - delta}.
+    minimum over pairs of that value divided by max(<k>, <n>)^{2m - delta};
+    a non-finite minimum raises DgbError.
     """
     if n_max > table.n_modes:
         raise ValueError("n_max exceeds the tabulated band")
@@ -304,4 +310,6 @@ def modulation_check(
     scale = np.maximum(bracket(k), bracket(n)) ** (2.0 * table.params.m - delta)
     ratios = min_max / scale
     idx = int(np.argmin(ratios))
+    if not np.isfinite(ratios[idx]):
+        raise DgbError(f"modulation scan overflowed: minimum ratio {ratios[idx]}")
     return ModulationReport(float(ratios[idx]), (int(k[idx]), int(n[idx])), n_max, floor, tuple(window))

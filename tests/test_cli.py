@@ -276,8 +276,12 @@ class TestMainEntry:
             ("observability", ["profile.kind=bump", "profile.modes=16", "grid.n=8"]),
             # finite endpoints whose steering certificate overflows
             ("control-linear", ["grid.n=8", "control.amplitude=1e300"]),
+            # |k|^{2m} overflows on the band
+            ("lemmas", ["params.m=200", "grid.n=64"]),
+            # finite symbols whose modulation spread overflows
+            ("lemmas", ["params.beta=1e300", "grid.n=8"]),
         ],
-        ids=["bump-too-narrow", "nonfinite-certificate"],
+        ids=["bump-too-narrow", "nonfinite-certificate", "symbol-overflow", "modulation-overflow"],
     )
     def test_exit_three_on_numerical_failure(self, tmp_path, capsys, experiment, overrides):
         args = [experiment, "--out", str(tmp_path / "num")]

@@ -20,13 +20,13 @@ from dgblab.control import (
     nonlinear_control_global,
     observability_constant,
 )
-from dgblab.damping import gain_matrix, make_profile_bump, make_profile_global
+from dgblab.damping import feedback_matrix, gain_matrix, make_profile_bump, make_profile_global
 from dgblab.dynamics import (
     _eigenbasis,
     _real_coords,
     _real_form,
+    _real_gain,
     build_closed_loop,
-    field_to_state,
     linear_propagate,
 )
 from dgblab.errors import DegenerateGramianError, IllPosedHorizonError, ProfileError
@@ -43,6 +43,16 @@ from dgblab.symbols import BENJAMIN, build_symbols
 
 FOUR_PI_SQ = 4.0 * np.pi**2
 WELL_SEPARATED = (2, 3, 4, 5, 6)  # eigenvalues -4, -18, -48, -100, -180
+
+
+def _galerkin(table, profile, n):
+    """The modes [-N..-1, 1..N] and the complex generator diag(i lam(k)) - B on them.
+
+    Assembled from the public `feedback_matrix`: an oracle for the loop's real
+    form that does not go through `_real_form`.
+    """
+    modes = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
+    return modes, np.diag(1j * table.eig(modes)) - feedback_matrix(profile, modes)
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +132,13 @@ class TestBiorthogonal:
 class TestFlowGramian:
     def test_matches_quadrature_oracle(self, table, bump):
         # moderate band so plain Gauss-Legendre resolves the oscillation
-        loop = build_closed_loop(table, bump, 6)
-        b = gain_matrix(bump, loop.modes, loop.modes)
-        fast, _ = _propagated_gramian(loop.generator, b @ b.conj().T, 1.0)
+        modes, a = _galerkin(table, bump, 6)
+        b = gain_matrix(bump, modes, modes)
+        fast, _ = _propagated_gramian(a, b @ b.conj().T, 1.0)
         ts, ws = gauss_nodes(1.0, 768)
         slow = np.zeros_like(fast)
         for t, w in zip(ts, ws):
-            m = scipy.linalg.expm(t * loop.generator) @ b
+            m = scipy.linalg.expm(t * a) @ b
             slow += w * (m @ m.conj().T)
         assert np.abs(fast - slow).max() < 1e-12 * np.abs(slow).max()
 
@@ -243,7 +253,7 @@ class TestCertificate:
         profile = bump if kind == "bump" else global_profile
         n = 8
         loop = build_closed_loop(build_symbols(BENJAMIN, n), profile, n)
-        b = _real_form(gain_matrix(profile, loop.modes, loop.modes), n)
+        b = _real_gain(profile, n)
         rng = np.random.default_rng(4)
         # adjoint data of the size a steering solve produces
         xi = 100.0 * _real_coords(random_field(n, rng, decay=1.5), n)
@@ -265,10 +275,11 @@ class TestRealForm:
         profile = bump if kind == "bump" else global_profile
         n = 16
         loop = build_closed_loop(table, profile, n)
-        b = gain_matrix(profile, loop.modes, loop.modes)
-        complex_gram, _ = _propagated_gramian(loop.generator, b @ b.conj().T, 1.0)
+        modes, a = _galerkin(table, profile, n)
+        b = gain_matrix(profile, modes, modes)
+        complex_gram, _ = _propagated_gramian(a, b @ b.conj().T, 1.0)
         expected = scipy.linalg.eigvalsh(complex_gram)
-        b_real = _real_form(b, n)
+        b_real = _real_gain(profile, n)
         real_gram, _ = _propagated_gramian(loop.real_generator, b_real @ b_real.T, 1.0)
         np.testing.assert_allclose(scipy.linalg.eigvalsh(real_gram), expected, rtol=1e-10)
         rng = np.random.default_rng(5)
@@ -282,11 +293,12 @@ class TestRealForm:
         profile = bump if kind == "bump" else global_profile
         n = 16
         rep = observability_constant(table, profile, 1.0, n)
+        modes, a = _galerkin(table, profile, n)
         band = n + profile.k_modes
         rows = np.arange(-band, band + 1)
-        c = np.abs(rows)[:, None] ** (0.5 * profile.delta) * gain_matrix(profile, rows, rep.loop.modes)
-        obs, _ = _propagated_gramian(rep.loop.generator.conj().T, c.conj().T @ c, 1.0)
-        s = field_to_state(rep.worst_mode, n)
+        c = np.abs(rows)[:, None] ** (0.5 * profile.delta) * gain_matrix(profile, rows, modes)
+        obs, _ = _propagated_gramian(a.conj().T, c.conj().T @ c, 1.0)
+        s = np.delete(rep.worst_mode.coeffs, n)
         quotient = np.vdot(s, obs @ s).real / np.vdot(s, s).real
         assert quotient == pytest.approx(1.0 / rep.c_obs, rel=1e-10)
         assert scipy.linalg.eigvalsh(obs)[0] == pytest.approx(1.0 / rep.c_obs, rel=1e-10)
@@ -297,12 +309,14 @@ class TestRealForm:
         profile = bump if kind == "bump" else global_profile
         n = 16
         loop = build_closed_loop(table, profile, n)
+        modes, _ = _galerkin(table, profile, n)
         band = n + profile.k_modes
         rows = np.arange(-band, band + 1)
-        c = np.abs(rows)[:, None] ** (0.5 * profile.delta) * gain_matrix(profile, rows, loop.modes)
+        c = np.abs(rows)[:, None] ** (0.5 * profile.delta) * gain_matrix(profile, rows, modes)
         q = _real_form(c.conj().T @ c, n)
         oracle, _ = _propagated_gramian(loop.real_generator.T, q, 1.0)
-        obs = _observability_gramian(loop.eigenbasis, q, 1.0)
+        # the observability weight is the loop's own real feedback
+        obs = _observability_gramian(loop.eigenbasis, loop.real_damping, 1.0)
         assert np.linalg.norm(obs - oracle) <= 1e-10 * np.linalg.norm(oracle)
         assert np.linalg.eigvalsh(obs)[0] == pytest.approx(np.linalg.eigvalsh(oracle)[0], rel=1e-10)
 

@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dgblab.damping import dissipation_form, make_profile_bump, make_profile_global
+from dgblab.control import ControlProblem
+from dgblab.damping import dissipation_form, feedback_matrix, make_profile_bump, make_profile_global
 from dgblab.dynamics import (
     TrajectoryRecord,
     _expm,
+    _real_coords,
+    _real_field,
     build_closed_loop,
     decay_fit,
     energy_residual,
-    field_to_state,
     linear_propagate,
     linear_trajectory,
     nonlinear_step,
@@ -36,10 +38,27 @@ from dgblab.spectral import (
     random_field,
     zero_field,
 )
-from dgblab.symbols import BENJAMIN, build_symbols
+from dgblab.symbols import BENJAMIN, build_symbols, multiplicity_scan
 
 FOUR_PI_SQ = 4.0 * np.pi**2
 D1 = 1.0 / FOUR_PI_SQ  # dissipation symbol of the constant gain at |k| = 1
+
+
+def _galerkin(table, profile, n):
+    """The modes [-N..-1, 1..N], the complex generator diag(i lam(k)) - B on them, and B.
+
+    Assembled from the public `feedback_matrix`: an oracle for the loop's real
+    forms that does not go through `_real_form`.
+    """
+    modes = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
+    b = feedback_matrix(profile, modes)
+    return modes, np.diag(1j * table.eig(modes)) - b, b
+
+
+def _state(v, n):
+    """The coefficients of v on the modes [-N..-1, 1..N]."""
+    c = v.with_cutoff(n).coeffs
+    return np.concatenate([c[:n], c[n + 1 :]])
 
 
 @pytest.fixture(scope="module")
@@ -90,26 +109,48 @@ class TestSemigroup:
 class TestClosedLoop:
     def test_global_profile_diagonal(self, table, global_profile):
         loop = build_closed_loop(table, global_profile, 8)
-        d = global_profile.d_symbol(loop.modes)
-        assert np.allclose(loop.damping_matrix, np.diag(d), atol=1e-15)
+        # d(k) on both interleaved coordinates (Re, Im) of each mode k = 1..N
+        d = np.repeat(global_profile.d_symbol(np.arange(1, 9)), 2)
+        assert np.allclose(loop.real_damping, np.diag(d), atol=1e-15)
         assert loop.spectral_abscissa == pytest.approx(-D1)
 
     def test_damping_matrix_psd_hermitian(self, table, bump):
+        # the real form of the Hermitian feedback is symmetric, with the same spectrum
         loop = build_closed_loop(table, bump, 24)
-        b = loop.damping_matrix
-        assert np.allclose(b, b.conj().T)
+        b = loop.real_damping
+        assert np.allclose(b, b.T)
         assert np.linalg.eigvalsh(b).min() > -1e-12
 
     def test_damping_matrix_read_only(self, table, bump):
-        # the loop owns its feedback matrix and keeps it read-only; the
-        # matrix-free dissipation rate is its quadratic form
+        # the loop keeps its real forms read-only; the matrix-free dissipation
+        # rate is the feedback's quadratic form, twice that of its real form
+        # since the negative modes mirror the positive ones
         loop = build_closed_loop(table, bump, 24)
-        with pytest.raises(ValueError):
-            loop.damping_matrix[0, 0] = 0.0
+        for mat in (loop.real_damping, loop.real_generator):
+            with pytest.raises(ValueError):
+                mat[0, 0] = 0.0
         v = random_field(24, np.random.default_rng(5), mean_zero=False)
-        x = np.delete(v.coeffs, 24)
-        expected = 2.0 * np.pi * np.vdot(x, loop.damping_matrix @ x).real
+        x = _real_coords(v, 24)
+        expected = 2.0 * np.pi * 2.0 * (x @ (loop.real_damping @ x))
         assert dissipation_form(bump, v) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["bump", "global"])
+    def test_real_forms_act_as_the_complex_matrices(self, table, bump, global_profile, kind):
+        # the real forms on _real_coords, mapped back to fields, against the
+        # complex Galerkin matrices on the full band, relative to the largest
+        # coefficient (the generator's reach 3840 at |k| = 16)
+        profile = bump if kind == "bump" else global_profile
+        n = 16
+        loop = build_closed_loop(table, profile, n)
+        _, a, b = _galerkin(table, profile, n)
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            v = random_field(n, rng, decay=0.5)
+            x = _real_coords(v, n)
+            for real, full in ((loop.real_generator, a), (loop.real_damping, b)):
+                got = _state(_real_field(real @ x, n), n)
+                expected = full @ _state(v, n)
+                assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_abscissa_negative(self, table, bump, global_profile):
         for profile in (bump, global_profile):
@@ -120,8 +161,9 @@ class TestClosedLoop:
     @pytest.mark.parametrize("kind", ["bump", "global"])
     def test_abscissa_matches_complex_spectrum(self, table, bump, global_profile, kind, n):
         # the abscissa comes from the real form; the complex generator has the same spectrum
-        loop = build_closed_loop(table, bump if kind == "bump" else global_profile, n)
-        expected = np.linalg.eigvals(loop.generator).real.max()
+        profile = bump if kind == "bump" else global_profile
+        loop = build_closed_loop(table, profile, n)
+        expected = np.linalg.eigvals(_galerkin(table, profile, n)[1]).real.max()
         assert loop.spectral_abscissa == pytest.approx(expected, rel=1e-8)
 
     def test_propagate_identity_at_zero(self, table, bump):
@@ -143,12 +185,12 @@ class TestClosedLoop:
         loop = build_closed_loop(table, bump, 10)
         rng = np.random.default_rng(4)
         v = random_field(10, rng)
-        a = loop.generator
+        a = _galerkin(table, bump, 10)[1]
         t_final = 0.05
-        out = field_to_state(linear_propagate(loop, v, t_final), 10)
+        out = _state(linear_propagate(loop, v, t_final), 10)
         errs = []
         for dt in (1e-4, 5e-5):
-            state = field_to_state(v, 10)
+            state = _state(v, 10)
             for _ in range(round(t_final / dt)):
                 k1 = a @ state
                 k2 = a @ (state + 0.5 * dt * k1)
@@ -169,10 +211,11 @@ class TestClosedLoop:
         # the propagated fields must be real by construction: at these horizons a
         # result conjugate-symmetric only to rounding fails the field constructor
         for n, t in ((64, 1.0), (32, 5.0)):
-            loop = build_closed_loop(build_symbols(BENJAMIN, n), bump, n)
+            table_n = build_symbols(BENJAMIN, n)
+            loop = build_closed_loop(table_n, bump, n)
             v = random_field(n, np.random.default_rng(3))
-            expected = scipy.linalg.expm(t * loop.generator) @ field_to_state(v, n)
-            got = field_to_state(linear_propagate(loop, v, t), n)
+            expected = scipy.linalg.expm(t * _galerkin(table_n, bump, n)[1]) @ _state(v, n)
+            got = _state(linear_propagate(loop, v, t), n)
             assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
         loop = build_closed_loop(table, bump, 16)
         rec = linear_trajectory(loop, random_field(16, np.random.default_rng(3)), 50.0, 0.5)
@@ -293,29 +336,27 @@ class TestIntegrator:
             assert c[n] == v.coeffs[n]
 
     def test_coupling_terms_match_damping_module(self, table, bump):
-        # the damping part of the stepper's generator must agree with the
-        # operator module's three-part split after projection onto the band
+        # the damping part -B of the closed loop whose eigenbasis the stepper
+        # takes must agree with the operator module's three-part split after
+        # projection onto the band
         from dgblab.damping import (
             apply_dissipation_part,
             apply_mean_correction,
             apply_smoothing_remainder,
         )
-        from dgblab.dynamics import Etdrk4Integrator
 
         n = 24
-        stepper = Etdrk4Integrator(table, bump, n, 1e-3)
-        modes = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
-        damping_part = stepper.generator - np.diag(1j * table.eig(modes))
+        loop = build_closed_loop(table, bump, n)
         rng = np.random.default_rng(17)
         for _ in range(3):
             v = random_field(n, rng, decay=0.5)
-            got = damping_part @ field_to_state(v, n)
+            got = _real_field(-loop.real_damping @ _real_coords(v, n), n)
             expected = -(
                 apply_dissipation_part(bump, v)
                 + apply_smoothing_remainder(bump, v)
                 + apply_mean_correction(bump, v)
             ).with_cutoff(n)
-            assert np.abs(got - field_to_state(expected, n)).max() < 1e-13
+            assert np.abs(_state(got, n) - _state(expected, n)).max() < 1e-13
 
     def test_transport_matches_spectral_module(self, table, bump):
         from dgblab.dynamics import Etdrk4Integrator
@@ -481,6 +522,43 @@ def test_integrators_step_concurrently(bump):
     for got, expected in zip(threaded, serial):
         assert len(got) == steps
         assert np.array_equal(np.array(got), np.array(expected))
+
+
+_NAN = float("nan")
+_INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda tab, p, v: nonlinear_step(tab, p, v, _NAN),
+        lambda tab, p, v: nonlinear_step(tab, None, v, _NAN),
+        lambda tab, p, v: nonlinear_step(tab, p, v, _INF),
+        lambda tab, p, v: semigroup_apply(tab, p, v, _NAN),
+        lambda tab, p, v: semigroup_apply(tab, p, v, _INF),
+        lambda tab, p, v: linear_propagate(build_closed_loop(tab, p, 8), v, _NAN),
+        lambda tab, p, v: ControlProblem(BENJAMIN, p, 8, _NAN, v, v),
+        lambda tab, p, v: ControlProblem(BENJAMIN, p, 8, _INF, v, v),
+        lambda tab, p, v: multiplicity_scan(tab, tol=_NAN),
+    ],
+    ids=[
+        "step-dt-nan",
+        "undamped-step-dt-nan",
+        "step-dt-inf",
+        "semigroup-t-nan",
+        "semigroup-t-inf",
+        "propagate-t-nan",
+        "horizon-nan",
+        "horizon-inf",
+        "multiplicity-tol-nan",
+    ],
+)
+def test_non_finite_arguments_rejected(entry, table, bump):
+    # a comparison with NaN is false, so each check is written to fail on it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            entry(table, bump, random_field(8, np.random.default_rng(7)))
 
 
 class TestSimulate:

@@ -1,11 +1,15 @@
 """Tests for the symbol tables and the finite-range structure scans."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dgblab.errors import DgbError
 from dgblab.symbols import (
     BENJAMIN,
     ModelParams,
+    SymbolTable,
     bracket,
     build_symbols,
     gap_check,
@@ -70,6 +74,29 @@ class TestSymbolTable:
         t = build_symbols(BENJAMIN, 5)
         with pytest.raises(ValueError):
             t.eig(6)
+
+    def test_overflow_rejected(self):
+        # |k|^{2m} overflows on |k| <= 64 at m = 200, and stays finite at m = 80
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DgbError, match="not finite"):
+            build_symbols(replace(BENJAMIN, m=200.0), 64)
+        t = build_symbols(replace(BENJAMIN, m=80.0), 64)
+        assert np.isfinite(t.lam).all()
+        assert resonance_check(t, 64).min_ratio == 2.0
+        # the brackets of the widest pairs overflow, and their ratios are not the minimum
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(modulation_check(t, 64).min_ratio)
+
+    def test_non_finite_scan_minimum_rejected(self):
+        # finite symbols whose modulation spread overflows
+        with np.errstate(over="ignore"), pytest.raises(DgbError, match="modulation"):
+            modulation_check(build_symbols(replace(BENJAMIN, beta=1e300), 8), 8)
+        # a hand-made table with infinite lam(k) at |k| >= 3: the triple
+        # (3, -4, 1) sums -inf + inf
+        ks = np.arange(-4, 5)
+        a = np.where(np.abs(ks) >= 3, -np.inf, -(ks**2.0) + np.abs(ks))
+        t = SymbolTable(params=BENJAMIN, n_modes=4, a=a, lam=ks * a)
+        with np.errstate(invalid="ignore"), pytest.raises(DgbError, match="resonance"):
+            resonance_check(t, 4)
 
 
 class TestMultiplicity:
