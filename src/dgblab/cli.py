@@ -136,6 +136,13 @@ class RunConfig:
             raise ConfigError("profile.kind must be 'global' or 'bump'")
         if self.experiment == "control-nonlinear" and self["profile.kind"] != "global":
             raise ConfigError("control-nonlinear needs the constant gain: profile.kind = global")
+        # simulate and stabilize step the drift mu = init.mean, control-nonlinear mu = 0
+        drift = {"simulate": self["init.mean"], "stabilize": self["init.mean"], "control-nonlinear": 0.0}
+        mu = drift.get(self.experiment)
+        if mu is not None and self.raw.get("params.mu", mu) != mu:
+            raise ConfigError(
+                f"{self.experiment} steps the drift mu = {mu!r}; params.mu must equal it or be unset"
+            )
         if self["profile.kind"] == "bump" and not (
             0 <= self["profile.a"] < self["profile.b"] <= 2 * np.pi and self["profile.modes"] >= 1
         ):
@@ -171,10 +178,7 @@ class RunConfig:
         return _KEYS[key][1]
 
     def echo(self) -> dict:
-        out = {"experiment": self.experiment}
-        for key in sorted(self.raw):
-            out[key] = self.raw[key]
-        return out
+        return {"experiment": self.experiment, **{key: self.raw[key] for key in sorted(self.raw)}}
 
 
 def _parse_value(key: str, text: str):
@@ -468,11 +472,12 @@ def _run_lemmas(cfg: RunConfig, out_dir: Path) -> dict:
     gap_rows = [(r.k, r.gap, r.bound, r.passed) for r in gaps.rows]
     write_csv(out_dir / "lemma_gap.csv", ["k", "gap", "bound", "passed"], zip(*gap_rows))
 
-    res_rows = []
-    scan_sizes = [s for s in (8, 16, 32, 64, 128) if s <= n_max] or [n_max]
-    for size in scan_sizes:
-        rep = resonance_check(table, size, a_threshold=min(cfg["lemmas.a_threshold"], size))
-        res_rows.append((rep.n_max, rep.a_threshold, rep.min_ratio) + rep.witness)
+    # the sizes below n_max, then n_max itself, whose scan is the summary's
+    scans = [
+        resonance_check(table, size, a_threshold=min(cfg["lemmas.a_threshold"], size))
+        for size in [s for s in (8, 16, 32, 64, 128) if s < n_max] + [n_max]
+    ]
+    res_rows = [(rep.n_max, rep.a_threshold, rep.min_ratio) + rep.witness for rep in scans]
     write_csv(
         out_dir / "lemma_resonance.csv",
         ["n_max", "a_threshold", "min_ratio", "k1", "k2", "k3"],
@@ -486,7 +491,7 @@ def _run_lemmas(cfg: RunConfig, out_dir: Path) -> dict:
         [[v] for v in (mod.n_max, mod.floor, mod.min_ratio) + mod.witness],
     )
 
-    final = resonance_check(table, n_max, a_threshold=min(cfg["lemmas.a_threshold"], n_max))
+    final = scans[-1]
     return {
         "max_multiplicity": mult.max_multiplicity,
         "simple_beyond": mult.simple_beyond,

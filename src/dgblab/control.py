@@ -13,9 +13,8 @@ linear trajectory whose transport term is re-injected through the gain, and
 is certified by re-simulating the forced nonlinear system.  That forcing is
 evaluated on the half spectrum k = 0..N the integrator steps, with the
 integrator's own transport kernel (`spectral.transport`), so no field object
-is built per stage.
-Every route returns its control as one array of half spectra, a row of
-coefficients k = 0..N per sample time; no field object is built per sample.
+is built per stage, nor per sample of a returned control (`ControlSolution`).
+Norms go through `spectral.norm_sq` and real coordinates through `dynamics`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .damping import DampingProfile
 from .dynamics import (
@@ -33,6 +31,7 @@ from .dynamics import (
     _real_coords,
     _real_field,
     _real_gain,
+    _real_halves,
     build_closed_loop,
     simulate,
 )
@@ -46,9 +45,10 @@ from .errors import (
 from .spectral import (
     TWO_PI,
     SpectralField,
-    conjugate_extend,
     l2_norm,
     mean,
+    norm_sq,
+    sobolev_weights,
     transport,
 )
 from .symbols import ModelParams, SymbolTable, build_symbols
@@ -179,11 +179,6 @@ def biorthogonal_family(
     return BiorthogonalFamily(modes, lam, horizon, coeffs, cond)
 
 
-def gauss_nodes(horizon: float, n: int):
-    x, w = leggauss(n)
-    return 0.5 * horizon * (x + 1.0), 0.5 * horizon * w
-
-
 def _propagated_gramian(a_mat, q, horizon):
     """int_0^T e^{tA} Q e^{tA^H} dt through one block matrix exponential.
 
@@ -268,10 +263,10 @@ def linear_control_gramian(problem: ControlProblem) -> ControlSolution:
     gram, flow = _propagated_gramian(loop.real_generator, b_mat @ b_mat.T, p.horizon)
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 1e-15 * max(eigs[-1], 1e-300):
-        deficient = np.linalg.eigh(gram)[1][:, 0]
+        deficient = _real_halves(np.linalg.eigh(gram)[1][:, 0])
         raise UncontrollableTruncationError(
             f"Gramian numerically singular (min eig {eigs[0]:.3e}); "
-            f"deficient direction peaked at mode {int(np.argmax(np.abs(deficient))) // 2 + 1}"
+            f"deficient direction peaked at mode {int(np.argmax(np.abs(deficient)))}"
         )
 
     v0r = _real_coords(p.v0, n)
@@ -282,12 +277,10 @@ def linear_control_gramian(problem: ControlProblem) -> ControlSolution:
 
     times = np.linspace(0.0, p.horizon, _CONTROL_SAMPLES)
     mu, vecs, inv = loop.eigenbasis
-    # row i: e^{(T - t_i) A^T} xi = V^{-T} (e^{(T - t_i) mu} o V^T xi), then B^T
+    # row i: e^{(T - t_i) A^T} xi = V^{-T} (e^{(T - t_i) mu} o V^T xi), then B^T;
+    # the mean is not steered
     modal = np.exp(np.outer(p.horizon - times, mu)) * (vecs.T @ xi)
-    real = (modal @ (inv @ b_mat)).real
-    # the interleaved (Re, Im) columns are the modes 1..N; the mean is not steered
-    samples = np.zeros((times.size, n + 1), dtype=np.complex128)
-    samples[:, 1:] = real[:, 0::2] + 1j * real[:, 1::2]
+    samples = _real_halves((modal @ (inv @ b_mat)).real)
 
     v_final = _certify_linear(loop.eigenbasis, b_mat, xi, v0r, p.horizon)
     err = l2_norm(_real_field(v_final - v1r, n)) / max(l2_norm(p.v1), 1e-12)
@@ -334,8 +327,7 @@ def linear_control_global_modal(problem: ControlProblem) -> ControlSolution:
     samples = np.zeros((times.size, n + 1), dtype=np.complex128)
     samples[:, 1:] = np.exp(np.outer(big_t - times, -1j * lam - d)) * xi / TWO_PI
     v_final = flow_t * v0s + w_diag * xi
-    # the negative modes double the squared norm of the half
-    err = np.sqrt(2.0 * TWO_PI) * np.linalg.norm(v_final - v1s) / max(l2_norm(p.v1), 1e-12)
+    err = np.sqrt(norm_sq(np.append(0.0, v_final - v1s))) / max(l2_norm(p.v1), 1e-12)
     return ControlSolution(
         times=times,
         samples=samples,
@@ -349,25 +341,19 @@ def linear_control_global_modal(problem: ControlProblem) -> ControlSolution:
 def _control_norm(times: np.ndarray, samples: np.ndarray, s: float) -> float:
     """Time-L^2 of the H^s norm: sqrt of the trapezoid rule of sobolev_norm(h(t), s)^2.
 
-    Each row is conjugate-extended and summed over -N..N as `sobolev_norm`
-    sums a field, and each norm is squared as a Python float, as
-    `sobolev_norm(f, s) ** 2` is (libm's pow, which can differ from x * x
-    in the last bit), so the result has the bits of the per-field formula.
+    The rows go through the norm kernel as `sobolev_norm` sends a field, and
+    each norm is squared as a Python float, as `sobolev_norm(f, s) ** 2` is
+    (libm's pow, which can differ from x * x in the last bit), so the result
+    has the bits of the per-field formula.
     """
-    n = samples.shape[1] - 1
-    full = conjugate_extend(samples)
-    weights = (1.0 + np.abs(np.arange(-n, n + 1))) ** (2.0 * s)
-    norms = np.sqrt(TWO_PI * np.sum(weights * np.abs(full) ** 2, axis=1))
+    norms = np.sqrt(norm_sq(samples, sobolev_weights(samples.shape[1] - 1, s)))
     return float(np.sqrt(np.trapezoid([v**2 for v in norms.tolist()], times)))
 
 
 def _check_endpoint_resolution(u: SpectralField, label: str):
-    n = u.n_modes
-    total = np.sum(np.abs(u.coeffs) ** 2)
-    if total == 0:
-        return
-    cut = max(1, (3 * n) // 4)
-    tail = np.sum(np.abs(u.coeffs[np.abs(u.wavenumbers) >= cut]) ** 2)
+    """Warn when the modes |k| >= 3N/4 hold more than 1e-10 of the squared norm."""
+    total = norm_sq(u.half)
+    tail = norm_sq(u.half, np.arange(u.n_modes + 1) >= max(1, (3 * u.n_modes) // 4))
     if tail > 1e-10 * total:
         warnings.warn(f"{label} spectrum barely decays at the cutoff; enlarge n_modes")
 
@@ -379,9 +365,8 @@ def nonlinear_control_global(problem: ControlProblem, dt: float = 1e-3) -> Contr
     trajectory u(t) has a closed form.  Feeding the transport term of that
     very trajectory back through the gain (as 2 pi d/dx u^2) makes u solve
     the forced nonlinear equation too, so the steering is exact up to
-    discretization.  Certified by re-simulating the nonlinear system, whose
-    integrator evaluates the forcing (a pure function of t) once per distinct
-    stage time, 2 n_steps + 1 times, and does not mutate the arrays it returns.
+    discretization.  Certified by re-simulating the nonlinear system, with
+    the forcing a pure function of t, as the integrator requires.
     """
     p = problem
     if p.profile is not None and p.profile.k_modes != 0:
@@ -461,8 +446,8 @@ def observability_constant(
     if c_obs <= 2.0:  # pragma: no cover
         raise ObservabilityFailureError("observed energy exceeded the total energy budget")
 
-    # a unit real vector is a field of squared L^2 norm 2 * 2 pi
-    worst = _real_field(eigvecs[:, 0] / np.sqrt(2.0 * TWO_PI), n_modes)
+    worst = _real_field(eigvecs[:, 0], n_modes)
+    worst = worst * (1.0 / l2_norm(worst))
     return ObservabilityReport(
         c_obs=c_obs,
         rho=1.0 - 2.0 / c_obs,

@@ -34,6 +34,7 @@ from .spectral import (
     apply_multiplier,
     l2_inner,
     l2_norm,
+    norm_sq,
     to_grid,
     to_spectral,
 )
@@ -257,12 +258,12 @@ def decomposition_residual(p: DampingProfile, v: SpectralField) -> float:
 def dissipation_form(p: DampingProfile, v: SpectralField) -> float:
     """Instantaneous dissipation rate ||D^{delta/2} G v||^2 = <G D^delta G v, v>.
 
-    The squared norm over the full grown band of `apply_gain`: O(N K), with
-    no matrix formed whether or not a closed loop has built one.
+    The squared norm, with weight |k|^delta, over the full grown band of
+    `apply_gain`: O(N K), with no matrix formed whether or not a closed loop
+    has built one.
     """
     gv = apply_gain(p, v)
-    weights = np.abs(gv.wavenumbers).astype(np.float64) ** p.delta
-    return float(TWO_PI * np.sum(weights * np.abs(gv.coeffs) ** 2))
+    return float(norm_sq(gv.half, np.arange(gv.n_modes + 1.0) ** p.delta))
 
 
 def dissipation_equivalence(p: DampingProfile, n_max: int) -> tuple:

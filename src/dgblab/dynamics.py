@@ -24,6 +24,7 @@ from .spectral import (
     apply_multiplier,
     constant_field,
     mean,
+    norm_sq,
     project_mean_zero,
     transport,
 )
@@ -55,13 +56,6 @@ class TrajectoryRecord:
             raise ValueError("times, l2norms, means and energy_residuals disagree in length")
         if self.times.size >= 2 and np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-
-
-def _fluctuation_norm(v: SpectralField) -> float:
-    """l2_norm(project_mean_zero(v)), bit for bit, read off v's coefficients."""
-    sq = np.abs(v.coeffs) ** 2
-    sq[v.n_modes] = 0.0
-    return float(np.sqrt(TWO_PI * np.sum(sq)))
 
 
 def semigroup_apply(
@@ -186,9 +180,18 @@ def _real_coords(v: SpectralField, n_modes: int) -> np.ndarray:
     return v.with_cutoff(n_modes).half[1:].view(np.float64)
 
 
+def _real_halves(x: np.ndarray, mean: float = 0.0) -> np.ndarray:
+    """Half spectra k = 0..N, with k = 0 entry `mean`, of real coordinates x along the last axis.
+
+    The batched inverse of `_real_coords`, bit for bit: x holds the
+    interleaved (Re, Im) of the modes 1..N under any leading shape.
+    """
+    return np.insert(np.ascontiguousarray(x, dtype=np.float64).view(np.complex128), 0, mean, axis=-1)
+
+
 def _real_field(x: np.ndarray, n_modes: int, mean: float = 0.0) -> SpectralField:
     """The real field with mean `mean` whose modes 1..N have interleaved (Re, Im) x."""
-    return SpectralField(n_modes, np.concatenate([[mean], x[0::2] + 1j * x[1::2]]))
+    return SpectralField(n_modes, _real_halves(x, mean))
 
 
 def linear_propagate(loop: LinearClosedLoop, v0: SpectralField, t: float) -> SpectralField:
@@ -228,16 +231,17 @@ def linear_trajectory(
     mu = mean(v0)
     x = _real_coords(v0, loop.n_modes)
     initial = _real_field(x, loop.n_modes, mu)
-    l2norms = [_fluctuation_norm(initial)]
+    fluctuation = np.arange(loop.n_modes + 1) > 0
+    l2norms = [norm_sq(initial.half, fluctuation)]
     for _ in range(n_steps):
         x = stepper @ x
         final = _real_field(x, loop.n_modes, mu)
-        l2norms.append(_fluctuation_norm(final))
+        l2norms.append(norm_sq(final.half, fluctuation))
     return TrajectoryRecord(
         times=dt_eff * np.arange(n_steps + 1),
         initial=initial,
         final=final,
-        l2norms=np.array(l2norms),
+        l2norms=np.sqrt(l2norms),
         means=np.full(n_steps + 1, mu),
         energy_residuals=None,
         run_meta={"kind": "linear", "dt": dt_eff, "n_modes": loop.n_modes},
@@ -269,16 +273,11 @@ def _etdrk4_weights(z: np.ndarray) -> tuple:
 
     out = [np.empty_like(z) for _ in range(4)]
     small = np.abs(z) < 0.5
-    if np.any(~small):
-        vals = direct(z[~small])
-        for o, v in zip(out, vals):
-            o[~small] = v
-    if np.any(small):
-        theta = np.exp(2j * np.pi * (np.arange(_CONTOUR_POINTS) + 0.5) / _CONTOUR_POINTS)
-        ring = z[small][:, None] + theta[None, :]
-        vals = direct(ring)
-        for o, v in zip(out, vals):
-            o[small] = v.mean(axis=1)
+    for o, v in zip(out, direct(z[~small])):
+        o[~small] = v
+    theta = np.exp(2j * np.pi * (np.arange(_CONTOUR_POINTS) + 0.5) / _CONTOUR_POINTS)
+    for o, v in zip(out, direct(z[small][:, None] + theta[None, :])):
+        o[small] = v.mean(axis=1)
     return tuple(out)
 
 
@@ -349,10 +348,8 @@ class Etdrk4Integrator:
     allocates every stage buffer once: the c-stage input [a; 2 nb - nv] and
     the final input [u; nv; 2 (na + nb); nc] are one buffer each, which the
     side-by-side weights read in one product, and every stage writes into
-    its buffer.  `step` does not modify its argument; it returns a read-only
-    view of the integrator's output buffer, valid until the next step, and
-    may be passed that view back.  An integrator is therefore used by one
-    thread at a time; separate integrators share nothing mutable.
+    its buffer, the output too (see `step`).  An integrator is therefore used
+    by one thread at a time; separate integrators share nothing mutable.
 
     An ill-conditioned eigenbasis raises ProfileError.  `spectral_abscissa`
     is the abscissa of the stepped generator: the loop's, or max(-d(k)) over
@@ -375,8 +372,7 @@ class Etdrk4Integrator:
         self.dt = dt
         self.forcing = forcing
         # the last forcing evaluation, keyed by its exact stage time
-        self._forced_t = None
-        self._forced = None
+        self._forced_t = self._forced = None
         ks = np.arange(n_modes + 1)
 
         if profile is not None and profile.k_modes > 0:
@@ -451,7 +447,7 @@ class Etdrk4Integrator:
 
         The stage times are t, t + dt/2, t_end.  `half` is left unchanged; the
         result is a read-only view of the integrator's buffer, overwritten by
-        the next step.
+        the next step, which may be passed that view back.
         """
         lin = self._apply
         nonlin = self.nonlinearity
@@ -487,10 +483,7 @@ def nonlinear_step(
     t: float = 0.0,
     forcing=None,
 ) -> SpectralField:
-    """One integrator step; builds a throwaway stepper (fine for diagnostics).
-
-    `forcing`, when given, maps t to the coefficients k = 0..N of the forcing.
-    """
+    """One integrator step, with `Etdrk4Integrator`'s `forcing`; builds a throwaway stepper."""
     stepper = Etdrk4Integrator(table, profile, v.n_modes, dt, forcing)
     return SpectralField(v.n_modes, stepper.step(v.half, t))
 
@@ -511,10 +504,7 @@ def simulate(
     state are kept, so memory does not grow with the run.  Divergence raises,
     carrying the last valid time.  `run_meta` records the effective dt, the
     step count and the spectral abscissa of the generator that was stepped.
-    `forcing`, when given, maps t to the coefficients k = 0..N of the forcing
-    (the negative modes are their conjugates).  It must be a pure function of
-    t: the integrator evaluates it once per distinct stage time, 2 n_steps + 1
-    times, and does not mutate the returned array.
+    `forcing` is `Etdrk4Integrator`'s, evaluated 2 n_steps + 1 times.
     """
     n_steps, dt_eff = _time_grid(t_final, dt)
     if record_every < 1:
@@ -528,13 +518,15 @@ def simulate(
 
     # floored at an absolute scale, so that a forced run from rest does not
     # count its first step as a blow-up
-    blow_limit = 1e12 * max(float(np.sum(np.abs(v0.coeffs) ** 2)), 1.0)
+    blow_limit = 1e12 * max(norm_sq(v0.half), TWO_PI)
+    # norm weights that drop the mean k = 0
+    fluctuation = np.arange(n + 1) > 0
 
     times, l2norms, means, rates = [], [], [], []
 
     def record(t, v):
         times.append(t)
-        l2norms.append(_fluctuation_norm(v))
+        l2norms.append(norm_sq(v.half, fluctuation))
         means.append(mean(v))
         if with_residual:
             rates.append(dissipation_form(profile, v))
@@ -548,10 +540,9 @@ def simulate(
         t_next = (i + 1) * dt_eff
         half = stepper.step(half, t, t_next)
         t = t_next
-        # the squared coefficient norm of the full spectrum -N..N, summed by
-        # numpy rather than BLAS, whose idle threads would wake and raise the
-        # peak memory of a run that makes no other BLAS call
-        ssq = 2.0 * float(np.square(half.view(np.float64)).sum()) - abs(half[0]) ** 2
+        # summed by numpy rather than BLAS, whose idle threads would wake and
+        # raise the peak memory of a run that makes no other BLAS call
+        ssq = norm_sq(half)
         if not np.isfinite(ssq) or ssq > blow_limit:
             raise BlowUpError(f"blow-up detected at t = {t:.6g}", last_valid_time=times[-1])
         if (i + 1) % record_every == 0 or i + 1 == n_steps:
@@ -559,7 +550,7 @@ def simulate(
             final = SpectralField(n, half)
             record(t, final)
 
-    times, l2norms = np.array(times), np.array(l2norms)
+    times, l2norms = np.array(times), np.sqrt(l2norms)
     resid = energy_residual(times, l2norms, np.array(rates)) if with_residual else None
     return TrajectoryRecord(
         times=times,

@@ -291,6 +291,7 @@ def modulation_check(
     is attained where the two magnitudes coincide, giving the closed form
     <|lam(k) - lam(n)| / (<k>^delta + <n>^delta)>.  The report returns the
     minimum over pairs of that value divided by max(<k>, <n>)^{2m - delta};
+    a pair whose brackets overflow gives inf, which cannot be the minimum, and
     a non-finite minimum raises DgbError.
     """
     if n_max > table.n_modes:
@@ -306,9 +307,10 @@ def modulation_check(
     delta = table.params.delta
     bk = bracket(k) ** delta
     bn = bracket(n) ** delta
-    min_max = bracket(np.abs(table.eig(k) - table.eig(n)) / (bk + bn))
-    scale = np.maximum(bracket(k), bracket(n)) ** (2.0 * table.params.m - delta)
-    ratios = min_max / scale
+    with np.errstate(over="ignore"):
+        min_max = bracket(np.abs(table.eig(k) - table.eig(n)) / (bk + bn))
+        scale = np.maximum(bracket(k), bracket(n)) ** (2.0 * table.params.m - delta)
+        ratios = min_max / scale
     idx = int(np.argmin(ratios))
     if not np.isfinite(ratios[idx]):
         raise DgbError(f"modulation scan overflowed: minimum ratio {ratios[idx]}")

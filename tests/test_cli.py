@@ -113,6 +113,21 @@ class TestRun:
         assert manifest["experiment"] == "lemmas"
         assert manifest["config"]["params.alpha"] == 1.0
 
+    @pytest.mark.parametrize("n_max, sizes", [(4, [4]), (12, [8, 12]), (16, [8, 16])])
+    def test_resonance_scan_ends_at_n_max(self, tmp_path, n_max, sizes):
+        # one scan per size; the last, at n_max, is the summary's
+        out = tmp_path / "lem"
+        summary = run(parse_config("", "lemmas", ["grid.n=16", f"lemmas.n_max={n_max}"]), out_dir=out)["summary"]
+        rows = [line.split(",") for line in (out / "lemma_resonance.csv").read_text().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == sizes
+        assert float(rows[-1][2]) == summary["resonance_min_ratio"]
+        assert [int(k) for k in rows[-1][3:]] == [summary[f"resonance_witness_k{i}"] for i in (1, 2, 3)]
+
+    def test_drift_matching_init_mean_accepted(self):
+        cfg = parse_config("", "simulate", ["params.mu=0.3", "init.mean=0.3"])
+        assert cfg.params.mu == 0.3
+        assert parse_config("", "control-nonlinear", ["params.mu=0"]).params.mu == 0.0
+
     def test_stabilize_rate_matches_abscissa(self, tmp_path):
         cfg = parse_config(STABILIZE_CFG)
         summary = run(cfg, out_dir=tmp_path / "stab")["summary"]
@@ -215,6 +230,10 @@ class TestMainEntry:
             # random fields whose largest coefficient scale overflows
             ("simulate", ["init.kind=random", "init.decay=-400"]),
             ("control-linear", ["control.decay=-400"]),
+            # a params.mu the experiment would ignore: it steps the drift of init.mean, or 0
+            ("control-nonlinear", ["grid.n=8", "params.mu=0.3"]),
+            ("simulate", ["grid.n=8", "params.mu=0.3"]),
+            ("stabilize", ["grid.n=8", "params.mu=0.1", "init.mean=0.3"]),
         ],
     )
     def test_exit_two_on_out_of_range_key(self, tmp_path, capsys, experiment, overrides):

@@ -1,8 +1,11 @@
 """Tests for control synthesis, biorthogonal families, and observability."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
 
 from dgblab.control import (
@@ -13,7 +16,6 @@ from dgblab.control import (
     _propagated_gramian,
     biorthogonal_family,
     decay_rate_predict,
-    gauss_nodes,
     gram_matrix,
     linear_control_global_modal,
     linear_control_gramian,
@@ -53,6 +55,12 @@ def _galerkin(table, profile, n):
     """
     modes = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
     return modes, np.diag(1j * table.eig(modes)) - feedback_matrix(profile, modes)
+
+
+def gauss_nodes(horizon: float, n: int):
+    """Gauss-Legendre nodes and weights of n points on [0, horizon]."""
+    x, w = leggauss(n)
+    return 0.5 * horizon * (x + 1.0), 0.5 * horizon * w
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +330,18 @@ class TestRealForm:
 
 
 class TestNonlinearControl:
+    @pytest.mark.parametrize(
+        "mode, warns", [(0, False), (2, False), (11, False), (12, True), (16, True)]
+    )
+    def test_endpoint_resolution_warning(self, global_profile, mode, warns):
+        # n = 16: the modes |k| >= 12 are the tail; the zero state is resolved
+        u = zero_field(16) if mode == 0 else cosine_field(16, mode, 0.05)
+        prob = ControlProblem(BENJAMIN, global_profile, 16, 1.0, u, u)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            nonlinear_control_global(prob, dt=0.1)
+        assert sum("barely decays" in str(w.message) for w in caught) == (2 if warns else 0)
+
     def test_constant_equilibrium(self, global_profile):
         u = constant_field(16, 0.2)
         prob = ControlProblem(BENJAMIN, global_profile, 16, 1.0, u, u)

@@ -17,6 +17,7 @@ from dgblab.dynamics import (
     _expm,
     _real_coords,
     _real_field,
+    _real_halves,
     build_closed_loop,
     decay_fit,
     energy_residual,
@@ -151,6 +152,20 @@ class TestClosedLoop:
                 got = _state(_real_field(real @ x, n), n)
                 expected = full @ _state(v, n)
                 assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_real_halves_invert_real_coords_bit_for_bit(self):
+        # stacked (2, 3) coordinates of fields with signed zeros among their modes
+        n = 9
+        rng = np.random.default_rng(31)
+        fields = [random_field(n, rng, mean_zero=False) for _ in range(5)]
+        fields.append(SpectralField(n, np.array([0.5] + [complex(-0.0, -0.0), complex(0.0, -0.0)] * 4 + [1j])))
+        coords = np.stack([_real_coords(v, n) for v in fields]).reshape(2, 3, 2 * n)
+        halves = _real_halves(coords, 0.25)
+        assert halves.shape == (2, 3, n + 1)
+        for v, half in zip(fields, halves.reshape(-1, n + 1)):
+            assert half[1:].tobytes() == v.half[1:].tobytes()
+            assert half[0] == 0.25
+            assert _real_field(_real_coords(v, n), n, mean(v)).half.tobytes() == v.half.tobytes()
 
     def test_abscissa_negative(self, table, bump, global_profile):
         for profile in (bump, global_profile):

@@ -11,6 +11,7 @@ from dgblab.spectral import (
     GridField,
     SpectralField,
     apply_multiplier,
+    conjugate_extend,
     constant_field,
     cosine_field,
     derivative_x,
@@ -18,6 +19,8 @@ from dgblab.spectral import (
     l2_norm,
     mean,
     nonlinear_term,
+    norm_sq,
+    pairing,
     project_mean_zero,
     random_field,
     sine_field,
@@ -270,6 +273,31 @@ class TestNormsAndMeans:
     def test_inner_product_orthogonality(self):
         assert l2_inner(cosine_field(4, 1), sine_field(4, 1)) == pytest.approx(0.0, abs=1e-15)
         assert l2_inner(cosine_field(4, 1), cosine_field(4, 1)) == pytest.approx(np.pi)
+
+    @pytest.mark.parametrize("weights", ["scalar", "vector"])
+    def test_kernel_matches_full_band_definition(self, weights):
+        # stacked half spectra against 2 pi sum_{|k|<=N} w(|k|) uhat(k) conj(vhat(k)),
+        # summed over the conjugate-extended band -N..N
+        n = 12
+        rng = np.random.default_rng(11)
+        u, v = (
+            np.stack([random_field(n, rng, mean_zero=False).half for _ in range(6)]).reshape(2, 3, n + 1)
+            for _ in range(2)
+        )
+        w = 2.5 if weights == "scalar" else (1.0 + np.arange(n + 1)) ** 1.4
+        w_full = w if weights == "scalar" else np.concatenate([w[:0:-1], w])
+        full_u, full_v = conjugate_extend(u), conjugate_extend(v)
+        expected = TWO_PI * np.sum(w_full * np.abs(full_u) ** 2, axis=-1)
+        got = norm_sq(u, w)
+        assert got.shape == (2, 3)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).min()
+        # the pairing's error is measured against the norms it is bounded by
+        expected = (TWO_PI * np.sum(w_full * full_u * np.conj(full_v), axis=-1)).real
+        scale = np.sqrt(norm_sq(u, w) * norm_sq(v, w))
+        assert np.all(np.abs(pairing(u, v, w) - expected) <= 1e-14 * scale)
+        # a row alone has the bits of its row in the stack
+        for row, value in zip(u.reshape(-1, n + 1), got.ravel()):
+            assert norm_sq(row, w) == value
 
 
 class TestHalfSpectrum:

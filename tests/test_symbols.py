@@ -1,5 +1,6 @@
 """Tests for the symbol tables and the finite-range structure scans."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -79,12 +80,14 @@ class TestSymbolTable:
         # |k|^{2m} overflows on |k| <= 64 at m = 200, and stays finite at m = 80
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DgbError, match="not finite"):
             build_symbols(replace(BENJAMIN, m=200.0), 64)
-        t = build_symbols(replace(BENJAMIN, m=80.0), 64)
-        assert np.isfinite(t.lam).all()
-        assert resonance_check(t, 64).min_ratio == 2.0
-        # the brackets of the widest pairs overflow, and their ratios are not the minimum
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isfinite(modulation_check(t, 64).min_ratio)
+        # the brackets of the widest pairs overflow to inf, which is not the
+        # minimum, and raise no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = build_symbols(replace(BENJAMIN, m=80.0), 64)
+            assert np.isfinite(t.lam).all()
+            assert resonance_check(t, 64).min_ratio == 2.0
+            assert modulation_check(t, 64).min_ratio == pytest.approx(1.7840161885965802, rel=1e-12)
 
     def test_non_finite_scan_minimum_rejected(self):
         # finite symbols whose modulation spread overflows
