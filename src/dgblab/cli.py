@@ -525,12 +525,17 @@ def _make_out_dir(path: Path) -> Path:
 
 
 def run(cfg: RunConfig, out_dir=None) -> dict:
-    """Execute one experiment; returns the manifest dict."""
+    """Execute one experiment; returns the manifest dict.
+
+    A floating-point overflow, invalid operation or division by zero raises
+    FloatingPointError; code that overflows on purpose ignores it locally.
+    """
     if out_dir is None:
         out_dir = cfg["out"] or f"runs/{cfg.experiment}"
     out_dir = _make_out_dir(Path(out_dir))
     started = time.perf_counter()
-    summary = _RUNNERS[cfg.experiment](cfg, out_dir)
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        summary = _RUNNERS[cfg.experiment](cfg, out_dir)
     wall = time.perf_counter() - started
     _write_manifest(out_dir, cfg, summary, wall)
     return {"experiment": cfg.experiment, "summary": summary, "out": str(out_dir)}
@@ -600,7 +605,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DgbError, np.linalg.LinAlgError) as exc:
+    except (DgbError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

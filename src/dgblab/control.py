@@ -228,7 +228,7 @@ def _observability_gramian(eigenbasis, q, horizon):
 
     Equals V^{-T} (Gamma o V^T Q V) V^{-1} with Gamma as in `_certify_linear`
     (Van Loan, IEEE TAC 1978); the real part is symmetrized.  `_eigenbasis`
-    caps cond(V), which bounds the rounding of this route.
+    caps a bound on cond(V), which bounds the rounding of this route.
     """
     mu, vecs, inv = eigenbasis
     gamma = _exp_integral(mu[:, None] + mu[None, :], horizon)
@@ -293,7 +293,7 @@ def linear_control_gramian(problem: ControlProblem) -> ControlSolution:
         info={
             "gramian_min_eig": float(eigs[0]),
             "gramian_cond": float(eigs[-1] / eigs[0]),
-            "defect_norm": float(np.linalg.norm(defect)),
+            "defect_norm": float(np.sqrt(norm_sq(_real_halves(defect)))),
         },
     )
 

@@ -75,16 +75,16 @@ class SymbolTable:
 
     def eig(self, k):
         """lam(k) for an integer or integer array with |k| <= n_modes."""
-        idx = np.asarray(k) + self.n_modes
-        if np.any(idx < 0) or np.any(idx > 2 * self.n_modes):
-            raise ValueError("wavenumber outside the tabulated band")
-        return self.lam[idx]
+        return self.lam[self._index(k)]
 
     def a_of(self, k):
+        return self.a[self._index(k)]
+
+    def _index(self, k):
         idx = np.asarray(k) + self.n_modes
-        if np.any(idx < 0) or np.any(idx > 2 * self.n_modes):
+        if idx.size and (idx.min() < 0 or idx.max() > 2 * self.n_modes):
             raise ValueError("wavenumber outside the tabulated band")
-        return self.a[idx]
+        return idx
 
 
 def build_symbols(params: ModelParams, n_modes: int) -> SymbolTable:
@@ -100,8 +100,9 @@ def build_symbols(params: ModelParams, n_modes: int) -> SymbolTable:
     p = params
     ks = np.arange(-n_modes, n_modes + 1, dtype=np.float64)
     absk = np.abs(ks)
-    a = -p.beta * absk ** (2.0 * p.m) + p.alpha * absk ** (2.0 * p.r) - 2.0 * p.mu
-    lam = ks * a
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = -p.beta * absk ** (2.0 * p.m) + p.alpha * absk ** (2.0 * p.r) - 2.0 * p.mu
+        lam = ks * a
     if not (np.isfinite(a).all() and np.isfinite(lam).all()):
         raise DgbError(f"symbols overflow on the band |k| <= {n_modes}: a(k) or lam(k) is not finite")
     table = SymbolTable(params=p, n_modes=n_modes, a=a, lam=lam)
@@ -145,24 +146,16 @@ def multiplicity_scan(table: SymbolTable, tol: float = 0.0) -> MultiplicityRepor
     """
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
-    ks = table.wavenumbers
     lam = table.lam
-    groups: list[list[int]] = []
     order = np.argsort(lam, kind="stable")
-    current = [int(ks[order[0]])]
-    for prev, cur in zip(order[:-1], order[1:]):
-        if lam[cur] - lam[prev] <= tol:
-            current.append(int(ks[cur]))
-        else:
-            groups.append(current)
-            current = [int(ks[cur])]
-    groups.append(current)
-
+    # a class ends where the next sorted eigenvalue lies more than tol above it
+    ends = [0, *(np.flatnonzero(np.diff(lam[order]) > tol) + 1).tolist(), lam.size]
+    ks = table.wavenumbers[order].tolist()
     classes = []
-    for members in groups:
-        members = tuple(sorted(members))
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        members = tuple(sorted(ks[lo:hi]))
         rep = min(members, key=lambda k: (abs(k), k))
-        classes.append(EigenvalueClass(rep, members, float(table.eig(rep))))
+        classes.append(EigenvalueClass(rep, members, float(lam[rep + table.n_modes])))
     classes.sort(key=lambda c: (abs(c.representative), c.representative))
 
     max_mult = max(c.count for c in classes)
@@ -202,9 +195,10 @@ def gap_check(table: SymbolTable) -> GapReport:
     if table.n_modes < 2:
         raise ValueError("need n_modes >= 2")
     p = table.params
+    pos = table.lam[table.n_modes + 1 :]  # lam(1), ..., lam(N)
     rows = []
-    for k in range(1, table.n_modes):
-        gap = float(table.eig(k) - table.eig(k + 1))
+    # the bound takes Python's power: np.power differs from it in the last bit for some k and r
+    for k, gap in enumerate((pos[:-1] - pos[1:]).tolist(), start=1):
         bound = p.alpha * (p.m - p.r) * float(k) ** (2.0 * p.r)
         rows.append(GapRow(k, gap, bound, gap > bound))
     threshold = None

@@ -311,6 +311,34 @@ class TestMainEntry:
         assert "numerical failure" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [("lemmas", ["params.m=200", "grid.n=64"]), ("control-linear", ["grid.n=8", "control.amplitude=1e300"])],
+        ids=["symbol-overflow", "nonfinite-certificate"],
+    )
+    def test_exit_three_without_runtime_warning(self, tmp_path, capsys, experiment, overrides):
+        args = [experiment, "--out", str(tmp_path / "num")]
+        for item in overrides:
+            args += ["--override", item]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "RuntimeWarning" not in err
+
+    def test_floating_point_fault_exits_three(self, tmp_path, capsys, monkeypatch):
+        def faulty(cfg, out_dir):
+            assert np.float64(1e-300) * 1e-300 == 0.0  # underflow stays quiet
+            return {"overflow": float(np.float64(1e300) * 1e300)}
+
+        monkeypatch.setitem(dgblab.cli._RUNNERS, "lemmas", faulty)
+        assert main(["lemmas", "--out", str(tmp_path / "fpe")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: overflow" in err
+        assert "Traceback" not in err
+
     def test_exit_two_on_unusable_out(self, tmp_path, capsys):
         cfg = tmp_path / "lemmas.cfg"
         cfg.write_text(BENJAMIN_CFG.replace("grid.n = 64", "grid.n = 8"))

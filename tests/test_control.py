@@ -24,8 +24,10 @@ from dgblab.control import (
 )
 from dgblab.damping import feedback_matrix, gain_matrix, make_profile_bump, make_profile_global
 from dgblab.dynamics import (
+    _MAX_EIGVEC_COND,
     _eigenbasis,
     _real_coords,
+    _real_field,
     _real_form,
     _real_gain,
     build_closed_loop,
@@ -275,6 +277,41 @@ class TestCertificate:
             _eigenbasis(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+class TestEigenbasisCheck:
+    """`_eigenbasis` caps ||V||_F ||V^{-1}||_F, from the inverse it returns, in place of an SVD."""
+
+    @pytest.mark.parametrize("n", [8, 32, 128])
+    def test_bound_dominates_svd_condition(self, n, bump):
+        loop = build_closed_loop(build_symbols(BENJAMIN, n), bump, n)
+        mu, vecs, inv = _eigenbasis(loop.real_generator)
+        assert np.array_equal(inv, np.linalg.inv(vecs))
+        bound = np.linalg.norm(vecs) * np.linalg.norm(inv)
+        cond = np.linalg.cond(vecs)
+        assert cond <= bound <= 2 * n * cond
+        assert bound <= _MAX_EIGVEC_COND
+
+    @pytest.mark.parametrize(
+        "vecs",
+        [
+            np.array([[1.0, 1.0], [1.0, 1.0]]),  # exactly singular: inv raises
+            np.array([[1.0, 1.0], [0.0, 1e-300]]),  # ||V^{-1}||_F^2 overflows
+        ],
+        ids=["singular", "overflowing-bound"],
+    )
+    def test_singular_and_overflowing_rejected_quietly(self, vecs, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eig", lambda mat: (np.zeros(2), vecs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProfileError):
+                _eigenbasis(np.zeros((2, 2)))
+
+    def test_defective_rejected_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProfileError):
+                _eigenbasis(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 class TestRealForm:
     """The real-form routes against the complex 2N x 2N matrices they replace."""
 
@@ -295,6 +332,20 @@ class TestRealForm:
         info = linear_control_gramian(ControlProblem(BENJAMIN, profile, n, 1.0, v0, v1)).info
         assert info["gramian_min_eig"] == pytest.approx(expected[0], rel=1e-10)
         assert info["gramian_cond"] == pytest.approx(expected[-1] / expected[0], rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["bump", "global"])
+    def test_defect_norm_is_the_l2_norm(self, kind, table, bump, global_profile):
+        profile = bump if kind == "bump" else global_profile
+        n = 12
+        rng = np.random.default_rng(6)
+        v0, v1 = random_field(n, rng, decay=1.5), random_field(n, rng, decay=1.5)
+        info = linear_control_gramian(ControlProblem(BENJAMIN, profile, n, 1.0, v0, v1)).info
+        loop = build_closed_loop(build_symbols(BENJAMIN, n), profile, n)
+        b = _real_gain(profile, n)
+        _, flow = _propagated_gramian(loop.real_generator, b @ b.T, 1.0)
+        defect = _real_coords(v1, n) - flow @ _real_coords(v0, n)
+        assert info["defect_norm"] == l2_norm(_real_field(defect, n))
+        assert info["defect_norm"] == pytest.approx(np.sqrt(4 * np.pi) * np.linalg.norm(defect), rel=1e-14)
 
     @pytest.mark.parametrize("kind", ["bump", "global"])
     def test_worst_mode_attains_min_rayleigh_quotient(self, kind, table, bump, global_profile):

@@ -75,6 +75,11 @@ class TestSymbolTable:
         t = build_symbols(BENJAMIN, 5)
         with pytest.raises(ValueError):
             t.eig(6)
+        for bad in (-6, np.array([0, 6]), np.array([-6, 0])):
+            with pytest.raises(ValueError):
+                t.a_of(bad)
+        assert t.a_of(np.array([], dtype=int)).size == 0
+        assert t.eig(np.array([-5, 5])).tolist() == [t.lam[0], t.lam[-1]]
 
     def test_overflow_rejected(self):
         # |k|^{2m} overflows on |k| <= 64 at m = 200, and stays finite at m = 80
@@ -100,6 +105,59 @@ class TestSymbolTable:
         t = SymbolTable(params=BENJAMIN, n_modes=4, a=a, lam=ks * a)
         with np.errstate(invalid="ignore"), pytest.raises(DgbError, match="resonance"):
             resonance_check(t, 4)
+
+
+def _multiplicity_oracle(table, tol):
+    """(representative, members, eigenvalue bits) per class, by scalar lookups in a loop."""
+    ks, lam = table.wavenumbers, table.lam
+    order = np.argsort(lam, kind="stable")
+    groups, current = [], [int(ks[order[0]])]
+    for prev, cur in zip(order[:-1], order[1:]):
+        if lam[cur] - lam[prev] <= tol:
+            current.append(int(ks[cur]))
+        else:
+            groups.append(current)
+            current = [int(ks[cur])]
+    groups.append(current)
+    classes = []
+    for members in groups:
+        members = tuple(sorted(members))
+        rep = min(members, key=lambda k: (abs(k), k))
+        classes.append((rep, members, float(table.eig(rep)).hex()))
+    return sorted(classes, key=lambda c: (abs(c[0]), c[0]))
+
+
+def _gap_oracle(table):
+    """(k, gap bits, bound bits, passed) per row, by scalar lookups in a loop."""
+    p = table.params
+    rows = []
+    for k in range(1, table.n_modes):
+        gap = float(table.eig(k) - table.eig(k + 1))
+        bound = p.alpha * (p.m - p.r) * float(k) ** (2.0 * p.r)
+        rows.append((k, gap.hex(), bound.hex(), gap > bound))
+    return rows
+
+
+class TestScansAgainstScalarLookups:
+    """The scans read the table in bulk; they must give the scalar loops' results bit for bit."""
+
+    # r = 0.3 is a case where np.power and Python's power differ in the last bit of k^{2r}
+    CASES = [(BENJAMIN, 128), (replace(BENJAMIN, r=0.3, m=1.3), 64), (GENERIC, 50)]
+
+    @pytest.mark.parametrize("params, n", CASES)
+    @pytest.mark.parametrize("tol", [0.0, 1e-3, 50.0])
+    def test_multiplicity_scan(self, params, n, tol):
+        table = build_symbols(params, n)
+        report = multiplicity_scan(table, tol)
+        got = [(c.representative, c.members, c.eigenvalue.hex()) for c in report.classes]
+        assert got == _multiplicity_oracle(table, tol)
+
+    @pytest.mark.parametrize("params, n", CASES)
+    def test_gap_check(self, params, n):
+        table = build_symbols(params, n)
+        rows = gap_check(table).rows
+        assert [(r.k, r.gap.hex(), r.bound.hex(), r.passed) for r in rows] == _gap_oracle(table)
+        assert all(type(r.gap) is float for r in rows)
 
 
 class TestMultiplicity:
