@@ -1,10 +1,10 @@
 """Configuration parsing, experiment orchestration, and stable result emission.
 
 Configs are flat ``key = value`` lines with dotted namespaces and ``#``
-comments; unknown keys are rejected.  Every run writes a ``manifest.json``
-with the config echo and summary scalars, plus experiment-specific CSV/JSON
-artifacts with 17-significant-digit floats, so reruns with the same config
-and seed are byte-identical.
+comments; unknown keys, and keys the experiment does not read, are rejected.
+Every run writes a ``manifest.json`` with the config echo and summary
+scalars, plus experiment-specific CSV/JSON artifacts with 17-significant-digit
+floats, so reruns with the same config and seed are byte-identical.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 """
@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,43 +51,63 @@ EXPERIMENTS = (
     "lemmas",
 )
 
-# key -> (type, default); defaults of None mean "derived later"
+_ALL = frozenset(EXPERIMENTS)
+_PROFILED = frozenset({"simulate", "stabilize", "control-linear", "observability"})
+_DAMPED = frozenset({"simulate", "stabilize"})
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+
+
+def _at_least(bound: int) -> tuple:
+    return lambda v: v >= bound, f"must be at least {bound}"
+
+
+def _one_of(*choices: str) -> tuple:
+    return lambda v: v in choices, "must be " + " or ".join(f"'{c}'" for c in choices)
+
+
+# key -> (type, default, the experiments that read it, its own check or None);
+# a default of None means "derived later", and a check is (predicate, wording).
+# seed and out are accepted by every experiment, so any set of runs can be seeded alike
 _KEYS = {
-    "experiment": (str, None),
-    "seed": (int, 0),
-    "out": (str, None),
-    "params.alpha": (float, 1.0),
-    "params.beta": (float, 1.0),
-    "params.m": (float, 1.0),
-    "params.r": (float, 0.5),
-    "params.mu": (float, 0.0),
-    "params.delta": (float, 1.0),
-    "profile.kind": (str, "global"),
-    "profile.a": (float, float(np.pi / 2)),
-    "profile.b": (float, float(3 * np.pi / 2)),
-    "profile.modes": (int, 64),
-    "grid.n": (int, 128),
-    "time.dt": (float, 1e-3),
-    "time.t_final": (float, 1.0),
-    "init.kind": (str, "cosine"),
-    "init.mode": (int, 1),
-    "init.amplitude": (float, 0.1),
-    "init.mean": (float, 0.0),
-    "init.decay": (float, 1.5),
-    "record.every": (int, 10),
-    "fit.t0": (float, None),
-    "fit.t1": (float, None),
-    "control.amplitude": (float, 1.0),
-    "control.decay": (float, 1.5),
-    "control.dt": (float, 1e-2),
-    "control.u0_mode": (int, 1),
-    "control.u0_amplitude": (float, 0.05),
-    "control.u1_mode": (int, 2),
-    "control.u1_amplitude": (float, 0.05),
-    "lemmas.n_max": (int, 64),
-    "lemmas.a_threshold": (int, 8),
-    "lemmas.floor": (int, 8),
-    "lemmas.tol": (float, 0.0),
+    "experiment": (str, None, _ALL, None),
+    # numpy's Generator seeds only from non-negative integers
+    "seed": (int, 0, _ALL, _NONNEGATIVE),
+    "out": (str, None, _ALL, None),
+    "params.alpha": (float, 1.0, _ALL, None),
+    "params.beta": (float, 1.0, _ALL, None),
+    "params.m": (float, 1.0, _ALL, None),
+    "params.r": (float, 0.5, _ALL, None),
+    "params.mu": (float, 0.0, _ALL, None),
+    # the damping's order, and the lemmas' modulation weight <k>^delta
+    "params.delta": (float, 1.0, _ALL, None),
+    "profile.kind": (str, "global", _ALL - {"lemmas"}, _one_of("global", "bump")),
+    "profile.a": (float, float(np.pi / 2), _PROFILED, None),
+    "profile.b": (float, float(3 * np.pi / 2), _PROFILED, None),
+    "profile.modes": (int, 64, _PROFILED, None),
+    "grid.n": (int, 128, _ALL, _at_least(4)),
+    "time.dt": (float, 1e-3, _DAMPED, _POSITIVE),
+    "time.t_final": (float, 1.0, _ALL - {"lemmas"}, _POSITIVE),
+    "init.kind": (str, "cosine", _DAMPED, _one_of("cosine", "random")),
+    "init.mode": (int, 1, _DAMPED, _at_least(1)),
+    "init.amplitude": (float, 0.1, _DAMPED, None),
+    "init.mean": (float, 0.0, _DAMPED, None),
+    "init.decay": (float, 1.5, _DAMPED, None),
+    "record.every": (int, 10, _DAMPED, _at_least(1)),
+    "fit.t0": (float, None, {"stabilize"}, None),
+    "fit.t1": (float, None, {"stabilize"}, None),
+    "control.amplitude": (float, 1.0, {"control-linear"}, None),
+    "control.decay": (float, 1.5, {"control-linear"}, None),
+    "control.dt": (float, 1e-2, {"control-nonlinear"}, _POSITIVE),
+    "control.u0_mode": (int, 1, {"control-nonlinear"}, _at_least(1)),
+    "control.u0_amplitude": (float, 0.05, {"control-nonlinear"}, None),
+    "control.u1_mode": (int, 2, {"control-nonlinear"}, _at_least(1)),
+    "control.u1_amplitude": (float, 0.05, {"control-nonlinear"}, None),
+    # (1, 1, -2) is the smallest zero-sum triple the resonance scan needs
+    "lemmas.n_max": (int, 64, {"lemmas"}, _at_least(2)),
+    "lemmas.a_threshold": (int, 8, {"lemmas"}, None),
+    "lemmas.floor": (int, 8, {"lemmas"}, _at_least(1)),
+    "lemmas.tol": (float, 0.0, {"lemmas"}, _NONNEGATIVE),
 }
 
 
@@ -100,6 +119,13 @@ class RunConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment '{self.experiment}'")
+        ignored = sorted(key for key in self.raw if self.experiment not in _KEYS[key][2])
+        if ignored:
+            raise ConfigError(f"{self.experiment} does not read {', '.join(ignored)}")
+        for key, value in self.raw.items():
+            check = _KEYS[key][3]
+            if check is not None and not check[0](value):
+                raise ConfigError(f"{key} {check[1]}")
         try:
             self.params = ModelParams(
                 alpha=self["params.alpha"],
@@ -111,29 +137,13 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # numpy's Generator seeds only from non-negative integers
-        if self["seed"] < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self["grid.n"] < 4:
-            raise ConfigError("grid.n must be at least 4")
         for key in ("init.mode", "control.u0_mode", "control.u1_mode"):
-            if not 1 <= self[key] <= self["grid.n"]:
-                raise ConfigError(f"{key} must lie in 1..grid.n")
-        # (1, 1, -2) is the smallest zero-sum triple the resonance scan needs
-        if self["lemmas.n_max"] < 2:
-            raise ConfigError("lemmas.n_max must be at least 2")
-        if self["lemmas.floor"] < 1:
-            raise ConfigError("lemmas.floor must be at least 1")
-        if self["time.t_final"] <= 0:
-            raise ConfigError("time.t_final must be positive")
+            if self[key] > self["grid.n"]:
+                raise ConfigError(f"{key} must not exceed grid.n")
         for key in ("time.dt", "control.dt"):
             # the integrators round the step count time.t_final / dt
-            if not (self[key] > 0 and np.isfinite(self["time.t_final"] / self[key])):
-                raise ConfigError(f"{key} must be positive, with a finite time.t_final / {key}")
-        if self["lemmas.tol"] < 0:
-            raise ConfigError("lemmas.tol must be nonnegative")
-        if self["profile.kind"] not in ("global", "bump"):
-            raise ConfigError("profile.kind must be 'global' or 'bump'")
+            if self.experiment in _KEYS[key][2] and not np.isfinite(self["time.t_final"] / self[key]):
+                raise ConfigError(f"time.t_final / {key} must be finite")
         if self.experiment == "control-nonlinear" and self["profile.kind"] != "global":
             raise ConfigError("control-nonlinear needs the constant gain: profile.kind = global")
         # simulate and stabilize step the drift mu = init.mean, control-nonlinear mu = 0
@@ -147,12 +157,8 @@ class RunConfig:
             0 <= self["profile.a"] < self["profile.b"] <= 2 * np.pi and self["profile.modes"] >= 1
         ):
             raise ConfigError("a bump needs 0 <= profile.a < profile.b <= 2 pi and profile.modes >= 1")
-        if self["init.kind"] not in ("cosine", "random"):
-            raise ConfigError("init.kind must be 'cosine' or 'random'")
-        if self["record.every"] < 1:
-            raise ConfigError("record.every must be at least 1")
         draws = [("control.amplitude", "control.decay")] if self.experiment == "control-linear" else []
-        if self.experiment in ("simulate", "stabilize") and self["init.kind"] == "random":
+        if self.experiment in _DAMPED and self["init.kind"] == "random":
             draws.append(("init.amplitude", "init.decay"))
         for amp, decay in draws:
             # random_field scales mode k by (1 + k)^-decay, largest at k = grid.n when decay < 0
@@ -560,9 +566,8 @@ def _single_run(experiment, args) -> int:
 
 
 def _sweep(args) -> int:
-    """Run every config into <out>/<file stem>; all are validated before the first runs."""
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
+    """Run every config in turn into <out>/<file stem>; all are validated before the
+    first runs, and a failing run ends the sweep with its exit code, as it ends one run."""
     base = Path(args.out or "runs/sweep")
     jobs = {}
     for path in args.configs:
@@ -571,15 +576,9 @@ def _sweep(args) -> int:
             raise ConfigError(f"two configs share the file stem '{name}' and so one output directory")
         jobs[name] = parse_config(_read_config(path))
     _make_out_dir(base)
-
-    def work(item):
-        name, cfg = item
+    for name, cfg in jobs.items():
         run(cfg, out_dir=base / name)
-        return name
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for name in pool.map(work, jobs.items()):
-            print(f"done: {name}")
+        print(f"done: {name}")
     return 0
 
 
@@ -592,9 +591,8 @@ def main(argv=None) -> int:
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--seed", type=int, help="override the seed")
         sp.add_argument("--override", action="append", metavar="KEY=VALUE")
-    sweep = sub.add_parser("sweep", help="run several configs concurrently")
+    sweep = sub.add_parser("sweep", help="run several configs in turn")
     sweep.add_argument("--configs", nargs="+", required=True)
-    sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     sweep.add_argument("--out", help="base output directory")
 
     args = parser.parse_args(argv)

@@ -9,7 +9,7 @@ import sys
 import tempfile
 import tomllib
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dgblab
-from dgblab.cli import EXPERIMENTS, main, parse_config, run, write_csv
+from dgblab.cli import _KEYS, EXPERIMENTS, RunConfig, main, parse_config, run, write_csv
 from dgblab.damping import make_profile_bump
 from dgblab.dynamics import build_closed_loop
 from dgblab.errors import ConfigError
 from dgblab.spectral import conjugate_extend
-from dgblab.symbols import BENJAMIN, build_symbols
+from dgblab.symbols import BENJAMIN, ModelParams, build_symbols
 
 BENJAMIN_CFG = """
 # canonical parameter set
@@ -246,6 +246,25 @@ class TestMainEntry:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "experiment, key",
+        [
+            ("simulate", "fit.t0=1"),
+            ("stabilize", "control.dt=0.01"),
+            ("control-linear", "init.mode=2"),
+            ("control-nonlinear", "profile.a=1"),
+            ("observability", "time.dt=1e-3"),
+            ("lemmas", "time.t_final=1"),
+        ],
+    )
+    def test_exit_two_on_ignored_key(self, tmp_path, capsys, experiment, key):
+        out = tmp_path / "ignored"
+        parse_config("", experiment, ["seed=3", f"out={out}"])
+        assert main([experiment, "--out", str(out), "--override", key]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {experiment} does not read {key.split('=')[0]}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "overrides",
         [["init.amplitude=0", "time.t_final=0.1"], ["fit.t0=5", "fit.t1=6", "time.t_final=0.1"]],
         ids=["zero-state", "window-past-end"],
@@ -267,10 +286,9 @@ class TestMainEntry:
         [
             ["simulate", "--config", "{missing}"],
             ["sweep", "--configs", "{missing}"],
-            ["sweep", "--configs", "{a}", "--jobs", "0"],
             ["sweep", "--configs", "{a}", "{b}"],
         ],
-        ids=["missing-config", "sweep-missing-config", "sweep-zero-jobs", "sweep-same-stem"],
+        ids=["missing-config", "sweep-missing-config", "sweep-same-stem"],
     )
     def test_exit_two_on_unusable_config_source(self, tmp_path, capsys, argv):
         paths = {
@@ -413,8 +431,6 @@ class TestMainEntry:
                 "--configs",
                 str(cfg_a),
                 str(cfg_b),
-                "--jobs",
-                "2",
                 "--out",
                 str(tmp_path / "sweep"),
             ]
@@ -423,9 +439,21 @@ class TestMainEntry:
         for stem in ("lemmas_a", "lemmas_b"):
             assert (tmp_path / "sweep" / stem / "manifest.json").exists()
 
+    def test_sweep_ends_at_a_failing_run(self, tmp_path, capsys):
+        # the configs run in the order given, and the first failure is the sweep's exit code
+        texts = {"a": BENJAMIN_CFG, "b": BENJAMIN_CFG + "params.m = 200\n", "c": BENJAMIN_CFG}
+        for stem, text in texts.items():
+            (tmp_path / f"{stem}.cfg").write_text(text)
+        argv = ["sweep", "--configs"] + [str(tmp_path / f"{stem}.cfg") for stem in texts]
+        assert main(argv + ["--out", str(tmp_path / "sweep")]) == 3
+        assert "done: a\n" == capsys.readouterr().out
+        assert (tmp_path / "sweep" / "a" / "manifest.json").exists()
+        assert not (tmp_path / "sweep" / "c").exists()
 
-# up to three free keys drawn on top of the experiment, grid and horizon:
-# in-range values and non-finite, negative, zero or out-of-range ones
+
+# up to three free keys that the experiment reads, drawn on top of the
+# experiment, grid and horizon: in-range values and non-finite, negative,
+# zero or out-of-range ones
 _FREE_KEYS = {
     "time.t_final": ["0", "-0.1", "1e-9", "nan", "inf"],
     "time.dt": ["1e-3", "5e-3", "0", "-1e-3", "nan", "inf", "-inf"],
@@ -452,17 +480,26 @@ _FREE_KEYS = {
 }
 
 
+def _free_draws(experiment):
+    keys = sorted(key for key in _FREE_KEYS if experiment in _KEYS[key][2])
+    free = st.lists(st.sampled_from(keys), max_size=3, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({k: st.sampled_from(_FREE_KEYS[k]) for k in keys})
+    )
+    return st.tuples(st.just(experiment), free)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
-    experiment=st.sampled_from(EXPERIMENTS),
+    drawn=st.sampled_from(EXPERIMENTS).flatmap(_free_draws),
     n=st.integers(2, 16),
     t_final=st.sampled_from(["0.05", "0.1", "0.2"]),
-    free=st.lists(st.sampled_from(sorted(_FREE_KEYS)), max_size=3, unique=True).flatmap(
-        lambda keys: st.fixed_dictionaries({k: st.sampled_from(_FREE_KEYS[k]) for k in keys})
-    ),
 )
-def test_main_keeps_documented_exit_codes(experiment, n, t_final, free):
-    overrides = {"grid.n": str(n), "time.t_final": t_final, **free}
+def test_main_keeps_documented_exit_codes(drawn, n, t_final):
+    experiment, free = drawn
+    overrides = {"grid.n": str(n)}
+    if experiment in _KEYS["time.t_final"][2]:
+        overrides["time.t_final"] = t_final
+    overrides.update(free)
     args = [experiment]
     for key, value in overrides.items():
         args += ["--override", f"{key}={value}"]
@@ -472,6 +509,62 @@ def test_main_keeps_documented_exit_codes(experiment, n, t_final, free):
             code = main(args + ["--out", out])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# keys an experiment accepts but does not read: the experiments that draw
+# nothing take a seed, and the drift rule compares params.mu with the drift
+# that simulate, stabilize and control-nonlinear step
+_ACCEPTED_UNREAD = {
+    "simulate": {"params.mu"},
+    "stabilize": {"params.mu"},
+    "control-nonlinear": {"seed", "params.mu"},
+    "observability": {"seed"},
+    "lemmas": {"seed"},
+}
+
+
+def test_key_table_matches_the_runners(tmp_path, monkeypatch):
+    # record every key a run reads, the model parameters through cfg.params,
+    # over both gains and both kinds of initial data
+    reads = set()
+    names = {f.name for f in fields(ModelParams)}
+    recorded = None
+    read_key = RunConfig.__getitem__
+    monkeypatch.setattr(RunConfig, "__getitem__", lambda cfg, key: reads.add(key) or read_key(cfg, key))
+
+    class RecordedParams(ModelParams):
+        def __getattribute__(self, name):
+            # a copy made with dataclasses.replace is not the config's, and is not recorded
+            if name in names and self is recorded:
+                reads.add(f"params.{name}")
+            return super().__getattribute__(name)
+
+    variants = [{}, {"profile.kind": "bump", "init.kind": "random"}]
+    for experiment in EXPERIMENTS:
+        declared = {key for key, entry in _KEYS.items() if experiment in entry[2]} - {"experiment"}
+        read = set()
+        # control-nonlinear steers with the constant gain only
+        for i, variant in enumerate(variants[: 1 if experiment == "control-nonlinear" else 2]):
+            sizes = {"grid.n": "8", "time.t_final": "0.1", **variant}
+            overrides = [f"{k}={v}" for k, v in sizes.items() if experiment in _KEYS[k][2]]
+            cfg = parse_config("", experiment, overrides + [f"out={tmp_path / experiment / str(i)}"])
+            recorded = cfg.params = RecordedParams(**{name: getattr(cfg.params, name) for name in names})
+            reads.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                run(cfg)
+            read |= reads
+        assert read <= declared, (experiment, read - declared)
+        expected = declared - _ACCEPTED_UNREAD.get(experiment, set())
+        assert read == expected, (experiment, expected ^ read)
+
+
+def test_readme_config_parses():
+    # the README's example config is a valid config
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = [b for b in readme.split("```")[1::2] if b.lstrip("\n").startswith("experiment = ")]
+    cfg = parse_config(block)
+    assert cfg.experiment == "stabilize"
+    assert cfg["profile.kind"] == "bump"
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

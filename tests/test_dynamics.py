@@ -504,7 +504,7 @@ class TestStepContract:
 
 def test_integrators_step_concurrently(bump):
     # each integrator owns its workspace, so two stepping at once in threads
-    # (as `sweep` runs its configs) give the serial results bit for bit
+    # (as a library caller may run them) give the serial results bit for bit
     from dgblab.dynamics import Etdrk4Integrator
 
     n, steps = 32, 400

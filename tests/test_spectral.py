@@ -193,7 +193,7 @@ class TestNonlinearTerm:
         # transport calls numpy's private pocketfft gufuncs; their results
         # must equal the public np.fft formula exactly, with or without
         # `out`, for every grid size M = 8..1024 (M = 3N+1 exactly at n = 21
-        # and 85), also when two threads call it at once (as `sweep` does)
+        # and 85), also when two threads of one process call it at once
         rng = np.random.default_rng(23)
         halves, expected = [], []
         for n in range(1, 200):
