@@ -73,4 +73,4 @@ from .control import (
     observability_constant,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -283,17 +283,21 @@ def linear_control_gramian(problem: ControlProblem) -> ControlSolution:
     samples = _real_halves((modal @ (inv @ b_mat)).real)
 
     v_final = _certify_linear(loop.eigenbasis, b_mat, xi, v0r, p.horizon)
-    err = l2_norm(_real_field(v_final - v1r, n)) / max(l2_norm(p.v1), 1e-12)
+    # an overflow here leaves inf or nan, which ControlSolution rejects by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = l2_norm(_real_field(v_final - v1r, n)) / max(l2_norm(p.v1), 1e-12)
+        control_norm = _control_norm(times, samples, p.s)
+        defect_norm = float(np.sqrt(norm_sq(_real_halves(defect))))
     return ControlSolution(
         times=times,
         samples=samples,
-        control_norm=_control_norm(times, samples, p.s),
+        control_norm=control_norm,
         terminal_error=float(err),
         method="gramian",
         info={
             "gramian_min_eig": float(eigs[0]),
             "gramian_cond": float(eigs[-1] / eigs[0]),
-            "defect_norm": float(np.sqrt(norm_sq(_real_halves(defect)))),
+            "defect_norm": defect_norm,
         },
     )
 

@@ -26,17 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProfileError, TruncationError
+from .errors import ProfileError
 from .spectral import (
     TWO_PI,
-    GridField,
     SpectralField,
     apply_multiplier,
     l2_inner,
     l2_norm,
     norm_sq,
-    to_grid,
-    to_spectral,
 )
 
 
@@ -120,48 +117,39 @@ def make_profile_global(delta: float) -> DampingProfile:
     return DampingProfile(delta=delta, ghat=np.array([1.0 / TWO_PI + 0j]), support="global")
 
 
-# relative depth, against its peak, to which a truncated bump gain may dip below zero
-_NEG_TOL = 1e-5
+def bump_root_coeffs(a: float, b: float, half: int) -> np.ndarray:
+    """Exact Fourier coefficients, l = -half..half, of 1 + cos(2 pi (x - xc)/(b - a)) on (a, b).
+
+    With w = b - a and t = l w / (2 pi), qhat(l) = e^{-i l xc} (w / 2 pi)
+    [sinc(t) + sinc(1 - t)/2 + sinc(1 + t)/2]; np.sinc takes the removable
+    singularities at t = 0 and t = 1.
+    """
+    width = b - a
+    l = np.arange(-half, half + 1)
+    t = l * (width / TWO_PI)
+    envelope = np.sinc(t) + 0.5 * np.sinc(1.0 - t) + 0.5 * np.sinc(1.0 + t)
+    return np.exp(-0.5j * (a + b) * l) * ((width / TWO_PI) * envelope)
 
 
 def make_profile_bump(a: float, b: float, n_modes: int, delta: float) -> DampingProfile:
-    """Raised-cosine-squared gain supported in (a, b), truncated to n_modes.
+    """Gain g = |q|^2 concentrated in (a, b), on the band -n_modes..n_modes.
 
-    The closed form c0 * (1 + cos(2 pi (x - xc)/(b - a)))^2 is sampled,
-    transformed, truncated, and rescaled so ghat(0) = 1/(2 pi) exactly.
-    Bandwidth truncation makes the profile slightly sign-indefinite; the
-    synthesis fails if it dips below -1e-5 (`_NEG_TOL`) times its peak on a
-    grid of at least 1024 and at least 8 n_modes points.
+    q is `bump_root_coeffs` truncated to |l| <= n_modes // 2, so g is
+    nonnegative by construction and of degree 2 (n_modes // 2); for odd
+    n_modes the two outermost coefficients are zero.  ghat is the
+    autocorrelation of qhat, rescaled so ghat(0) = 1/(2 pi) exactly.
     """
     if not 0.0 <= a < b <= TWO_PI:
         raise ProfileError(f"invalid support ({a}, {b}): need 0 <= a < b <= 2 pi")
     if n_modes < 1:
         raise ProfileError("need at least one gain mode")
-    grid_m = 1024
-    while grid_m < 8 * n_modes:
-        grid_m *= 2
-    x = TWO_PI * np.arange(grid_m) / grid_m
-    xc = 0.5 * (a + b)
-    stretch = TWO_PI / (b - a)
-    vals = np.where(
-        (x > a) & (x < b),
-        (1.0 + np.cos(stretch * (x - xc))) ** 2,
-        0.0,
-    )
-    raw = to_spectral(GridField(vals), n_modes)
-    center = raw.half[0].real
-    if center <= 0:
-        raise ProfileError("sampled gain has nonpositive mean")
-    ghat = raw.coeffs * (1.0 / (TWO_PI * center))
+    half = n_modes // 2
+    qhat = bump_root_coeffs(a, b, half)
+    auto = np.convolve(qhat, np.conj(qhat[::-1]))
+    ghat = np.zeros(2 * n_modes + 1, dtype=np.complex128)
+    ghat[n_modes - 2 * half : n_modes + 2 * half + 1] = auto / (TWO_PI * auto[2 * half].real)
     ghat[n_modes] = 1.0 / TWO_PI
-    profile = DampingProfile(delta=delta, ghat=ghat, support=(a, b))
-    g_grid = to_grid(gain_field(profile), grid_m).values
-    peak = g_grid.max()
-    if g_grid.min() < -_NEG_TOL * peak:
-        raise TruncationError(
-            f"truncated gain dips to {g_grid.min():.3e} (peak {peak:.3e}); increase n_modes"
-        )
-    return profile
+    return DampingProfile(delta=delta, ghat=ghat, support=(a, b))
 
 
 def gain_field(p: DampingProfile) -> SpectralField:

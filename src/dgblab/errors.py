@@ -17,10 +17,6 @@ class ProfileError(DgbError):
     """Invalid or degenerate damping profile."""
 
 
-class TruncationError(ProfileError):
-    """Bandwidth truncation pushed the gain profile negative beyond budget."""
-
-
 class MultiplicityBoundError(DgbError):
     """An eigenvalue class exceeded the multiplicity bound of 5."""
 

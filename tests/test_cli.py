@@ -234,6 +234,7 @@ class TestMainEntry:
             ("control-nonlinear", ["grid.n=8", "params.mu=0.3"]),
             ("simulate", ["grid.n=8", "params.mu=0.3"]),
             ("stabilize", ["grid.n=8", "params.mu=0.1", "init.mean=0.3"]),
+            ("lemmas", ["grid.n=3"]),
         ],
     )
     def test_exit_two_on_out_of_range_key(self, tmp_path, capsys, experiment, overrides):
@@ -307,34 +308,36 @@ class TestMainEntry:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "experiment, overrides",
+        "experiment, overrides, says",
         [
-            # a 16-mode band cannot represent the half-circle bump nonnegatively
-            ("observability", ["profile.kind=bump", "profile.modes=16", "grid.n=8"]),
             # finite endpoints whose steering certificate overflows
-            ("control-linear", ["grid.n=8", "control.amplitude=1e300"]),
+            ("control-linear", ["grid.n=8", "control.amplitude=1e300"], "non-finite steering certificate"),
             # |k|^{2m} overflows on the band
-            ("lemmas", ["params.m=200", "grid.n=64"]),
+            ("lemmas", ["params.m=200", "grid.n=64"], "symbols overflow"),
             # finite symbols whose modulation spread overflows
-            ("lemmas", ["params.beta=1e300", "grid.n=8"]),
+            ("lemmas", ["params.beta=1e300", "grid.n=8"], "modulation scan overflowed"),
         ],
-        ids=["bump-too-narrow", "nonfinite-certificate", "symbol-overflow", "modulation-overflow"],
+        ids=["nonfinite-certificate", "symbol-overflow", "modulation-overflow"],
     )
-    def test_exit_three_on_numerical_failure(self, tmp_path, capsys, experiment, overrides):
+    def test_exit_three_on_numerical_failure(self, tmp_path, capsys, experiment, overrides, says):
         args = [experiment, "--out", str(tmp_path / "num")]
         for item in overrides:
             args += ["--override", item]
         assert main(args) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err
+        assert says in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "experiment, overrides",
-        [("lemmas", ["params.m=200", "grid.n=64"]), ("control-linear", ["grid.n=8", "control.amplitude=1e300"])],
+        "experiment, overrides, says",
+        [
+            ("lemmas", ["params.m=200", "grid.n=64"], "symbols overflow"),
+            ("control-linear", ["grid.n=8", "control.amplitude=1e300"], "non-finite steering certificate"),
+        ],
         ids=["symbol-overflow", "nonfinite-certificate"],
     )
-    def test_exit_three_without_runtime_warning(self, tmp_path, capsys, experiment, overrides):
+    def test_exit_three_without_runtime_warning(self, tmp_path, capsys, experiment, overrides, says):
         args = [experiment, "--out", str(tmp_path / "num")]
         for item in overrides:
             args += ["--override", item]
@@ -344,7 +347,16 @@ class TestMainEntry:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert "numerical failure" in err
+        assert says in err
         assert "RuntimeWarning" not in err
+
+    def test_coarse_bump_band_runs(self, tmp_path, capsys):
+        # a 16-mode band around the half-circle bump: |q|^2 is nonnegative on every band
+        args = ["observability", "--out", str(tmp_path / "coarse")]
+        for item in ["profile.kind=bump", "profile.modes=16", "grid.n=8"]:
+            args += ["--override", item]
+        assert main(args) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_floating_point_fault_exits_three(self, tmp_path, capsys, monkeypatch):
         def faulty(cfg, out_dir):
@@ -491,7 +503,7 @@ def _free_draws(experiment):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     drawn=st.sampled_from(EXPERIMENTS).flatmap(_free_draws),
-    n=st.integers(2, 16),
+    n=st.integers(4, 16),
     t_final=st.sampled_from(["0.05", "0.1", "0.2"]),
 )
 def test_main_keeps_documented_exit_codes(drawn, n, t_final):

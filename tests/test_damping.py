@@ -10,6 +10,7 @@ from dgblab.damping import (
     apply_gain,
     apply_mean_correction,
     apply_smoothing_remainder,
+    bump_root_coeffs,
     decomposition_residual,
     dissipation_equivalence,
     dissipation_form,
@@ -18,7 +19,7 @@ from dgblab.damping import (
     make_profile_bump,
     make_profile_global,
 )
-from dgblab.errors import ProfileError, TruncationError
+from dgblab.errors import ProfileError
 from dgblab.spectral import (
     SpectralField,
     constant_field,
@@ -36,8 +37,8 @@ FOUR_PI_SQ = 4.0 * np.pi**2
 
 # recorded baselines for the half-circle bump with 64 gain modes
 BUMP_SUPPORT = (np.pi / 2, 3 * np.pi / 2)
-BUMP_EQUIV_LOW = 0.09290534409620065
-BUMP_EQUIV_HIGH = 0.09961864217075397
+BUMP_EQUIV_LOW = 0.092905348199418
+BUMP_EQUIV_HIGH = 0.09961864790128547
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +84,45 @@ class TestProfiles:
         with pytest.raises(ProfileError):
             make_profile_bump(2.0, 1.0, 16, delta=1.0)
 
-    def test_too_coarse_truncation_rejected(self):
-        with pytest.raises(TruncationError):
-            make_profile_bump(*BUMP_SUPPORT, 16, delta=1.0)
+    @pytest.mark.parametrize(
+        "a, b, modes",
+        [
+            (np.pi / 2, 3 * np.pi / 2, 4),
+            (np.pi / 2, 3 * np.pi / 2, 16),
+            (1.0, 1.0 + np.pi / 2, 32),
+            (1.0, 1.5, 64),
+        ],
+        ids=["width-pi-K4", "width-pi-K16", "width-half-pi-K32", "width-0.5-K64"],
+    )
+    def test_coarse_bands_stay_nonnegative(self, a, b, modes):
+        # g = |q|^2 on any band, however narrow the support against it
+        g = to_grid(gain_field(make_profile_bump(a, b, modes, delta=1.0)), 4096).values
+        assert g.min() >= -1e-14 * g.max()
+        assert g.max() > 0
+
+    @pytest.mark.parametrize("a, b", [BUMP_SUPPORT, (1.0, 1.5)])
+    def test_bump_root_matches_dft(self, a, b):
+        m, half = 2**16, 32
+        x = TWO_PI * np.arange(m) / m
+        inside = (x > a) & (x < b)
+        vals = np.where(inside, 1.0 + np.cos(TWO_PI * (x - 0.5 * (a + b)) / (b - a)), 0.0)
+        spec = np.fft.fft(vals) / m
+        dft = np.concatenate([spec[-half:], spec[: half + 1]])
+        qhat = bump_root_coeffs(a, b, half)
+        assert np.abs(qhat - dft).max() <= 1e-10 * np.abs(qhat).max()
+
+    @pytest.mark.parametrize("a, b", [BUMP_SUPPORT, (1.0, 1.5)])
+    @pytest.mark.parametrize("modes", [5, 64])
+    def test_bump_is_square_of_root(self, a, b, modes):
+        half, m = modes // 2, 512
+        spec = np.zeros(m, dtype=np.complex128)
+        qhat = bump_root_coeffs(a, b, half)
+        spec[: half + 1], spec[m - half :] = qhat[half:], qhat[:half]
+        g_spec = np.fft.fft(np.abs(np.fft.ifft(spec) * m) ** 2) / m
+        g_spec /= TWO_PI * g_spec[0].real
+        expected = np.concatenate([g_spec[m - modes :], g_spec[: modes + 1]])
+        ghat = make_profile_bump(a, b, modes, delta=1.0).ghat
+        assert np.abs(ghat - expected).max() <= 1e-14 * np.abs(ghat).max()
 
     def test_unnormalized_coefficients_rejected(self):
         with pytest.raises(ProfileError):
