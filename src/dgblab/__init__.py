@@ -6,23 +6,15 @@ spread), and exact-control synthesis with independent certificates.
 """
 
 from .spectral import (
-    GridField,
     SpectralField,
-    apply_multiplier,
     constant_field,
     cosine_field,
-    derivative_x,
     l2_inner,
     l2_norm,
     mean,
-    nonlinear_term,
     project_mean_zero,
     random_field,
-    sine_field,
     sobolev_norm,
-    to_grid,
-    to_spectral,
-    zero_field,
 )
 from .symbols import (
     BENJAMIN,
@@ -36,11 +28,8 @@ from .symbols import (
 )
 from .damping import (
     DampingProfile,
-    apply_dissipation_part,
     apply_feedback,
     apply_gain,
-    apply_mean_correction,
-    apply_smoothing_remainder,
     decomposition_residual,
     dissipation_equivalence,
     dissipation_form,
@@ -56,7 +45,6 @@ from .dynamics import (
     energy_residual,
     linear_propagate,
     linear_trajectory,
-    nonlinear_step,
     semigroup_apply,
     simulate,
     simulate_damped,
@@ -66,11 +54,10 @@ from .control import (
     ControlSolution,
     biorthogonal_family,
     decay_rate_predict,
-    gram_matrix,
     linear_control_global_modal,
     linear_control_gramian,
     nonlinear_control_global,
     observability_constant,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

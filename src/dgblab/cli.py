@@ -54,6 +54,8 @@ EXPERIMENTS = (
 _ALL = frozenset(EXPERIMENTS)
 _PROFILED = frozenset({"simulate", "stabilize", "control-linear", "observability"})
 _DAMPED = frozenset({"simulate", "stabilize"})
+# the acceptance suite's steering bound: a certificate (terminal error) above it exits 3
+_STEERING_TOL = 1e-6
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 _POSITIVE = (lambda v: v > 0, "must be positive")
 
@@ -409,6 +411,11 @@ def _run_stabilize(cfg: RunConfig, out_dir: Path) -> dict:
     return summary
 
 
+def _check_certificate(solution, where: str = ""):
+    if not solution.terminal_error <= _STEERING_TOL:
+        raise DgbError(f"steering certificate {solution.terminal_error:.3g} exceeds {_STEERING_TOL:g}{where}")
+
+
 def _run_control_linear(cfg: RunConfig, out_dir: Path) -> dict:
     rng = np.random.default_rng(cfg["seed"])
     profile = _build_profile(cfg)
@@ -417,6 +424,7 @@ def _run_control_linear(cfg: RunConfig, out_dir: Path) -> dict:
     v1 = random_field(n, rng, amplitude=cfg["control.amplitude"], decay=cfg["control.decay"])
     problem = ControlProblem(cfg.params, profile, n, cfg["time.t_final"], v0, v1)
     solution = linear_control_gramian(problem)
+    _check_certificate(solution)
     _write_profile_artifacts(out_dir, profile, n)
     _write_control(out_dir, solution)
     return {
@@ -435,6 +443,7 @@ def _run_control_nonlinear(cfg: RunConfig, out_dir: Path) -> dict:
     u1 = cosine_field(n, cfg["control.u1_mode"], cfg["control.u1_amplitude"])
     problem = ControlProblem(cfg.params, profile, n, cfg["time.t_final"], u0, u1)
     solution = nonlinear_control_global(problem, dt=cfg["control.dt"])
+    _check_certificate(solution, f" at control.dt = {cfg['control.dt']:g}")
     _write_profile_artifacts(out_dir, profile, n)
     _write_control(out_dir, solution)
     return {

@@ -74,11 +74,6 @@ class DampingProfile:
     def k_modes(self) -> int:
         return (self.ghat.size - 1) // 2
 
-    def coeff(self, l: int) -> complex:
-        if abs(l) > self.k_modes:
-            return 0j
-        return complex(self.ghat[l + self.k_modes])
-
     def d_symbol(self, k):
         """Dissipation symbol d(k) = sum_j |k+j|^delta |ghat(j)|^2, d(0) = 0.
 
@@ -102,14 +97,6 @@ class DampingProfile:
             "delta": self.delta,
             "ghat": [[float(c.real), float(c.imag)] for c in self.ghat],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DampingProfile":
-        support = data["support"]
-        if support != "global":
-            support = tuple(float(v) for v in support)
-        ghat = np.array([complex(re, im) for re, im in data["ghat"]])
-        return cls(delta=float(data["delta"]), ghat=ghat, support=support)
 
 
 def make_profile_global(delta: float) -> DampingProfile:

@@ -482,19 +482,6 @@ class Etdrk4Integrator:
         return self._result
 
 
-def nonlinear_step(
-    table: SymbolTable,
-    profile: DampingProfile | None,
-    v: SpectralField,
-    dt: float,
-    t: float = 0.0,
-    forcing=None,
-) -> SpectralField:
-    """One integrator step, with `Etdrk4Integrator`'s `forcing`; builds a throwaway stepper."""
-    stepper = Etdrk4Integrator(table, profile, v.n_modes, dt, forcing)
-    return SpectralField(v.n_modes, stepper.step(v.half, t))
-
-
 def simulate(
     table: SymbolTable,
     profile: DampingProfile | None,

@@ -5,10 +5,6 @@ class DgbError(Exception):
     """Base class for all package-specific failures."""
 
 
-class AliasingError(DgbError):
-    """Grid too coarse for the requested mode cutoff."""
-
-
 class HermitianSymmetryError(DgbError):
     """Coefficients do not describe a real-valued field."""
 

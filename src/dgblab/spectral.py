@@ -5,10 +5,10 @@ are real-valued, so vhat(-k) == conj(vhat(k)) and vhat(0) is real: a field
 stores its half spectrum, the coefficients k = 0..N, and is real by
 construction.  The full band -N..N (`coeffs`) is derived from it by
 `conjugate_extend`; a full band from outside enters through
-`SpectralField.from_coeffs`, which checks its Hermitian symmetry.  The grid
-transforms, the integrator and the reference propagators work on the half
-spectrum, and `transport` is the kernel on it.  Norms use the weighted
-convention
+`SpectralField.from_coeffs`, which checks its Hermitian symmetry.  The
+integrator and the reference propagators work on the half spectrum, and
+`transport`, the package's one pair of grid transforms, is the kernel on
+it.  Norms use the weighted convention
 
     norm(v, s)^2 = 2*pi * sum_k (1 + |k|)^{2s} |vhat(k)|^2,
 
@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.fft import _pocketfft_umath
 
-from .errors import AliasingError, HermitianSymmetryError
+from .errors import HermitianSymmetryError
 
 TWO_PI = 2.0 * np.pi
 
@@ -84,13 +84,6 @@ class SpectralField:
     def wavenumbers(self) -> np.ndarray:
         return np.arange(-self.n_modes, self.n_modes + 1)
 
-    def coeff(self, k: int) -> complex:
-        """vhat(k); zero outside the stored band."""
-        if abs(k) > self.n_modes:
-            return 0j
-        c = complex(self.half[abs(k)])
-        return c if k >= 0 else c.conjugate()
-
     def with_cutoff(self, n: int) -> "SpectralField":
         """Pad with zeros or truncate to the cutoff n."""
         if n == self.n_modes:
@@ -115,59 +108,9 @@ class SpectralField:
         return SpectralField(self.n_modes, -self.half)
 
 
-@dataclass(frozen=True, eq=False)
-class GridField:
-    """Real point values on the uniform collocation grid x_j = 2*pi*j/M."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size < 2:
-            raise ValueError("grid field needs a 1-d array with at least 2 samples")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def m(self) -> int:
-        return self.values.size
-
-    @property
-    def x(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.m) / self.m
-
-    @classmethod
-    def from_function(cls, f, m: int) -> "GridField":
-        return cls(f(TWO_PI * np.arange(m) / m))
-
-
 def conjugate_extend(half: np.ndarray) -> np.ndarray:
     """The coefficients -N..N of the real field with half spectrum `half` (along the last axis)."""
     return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
-
-
-def to_spectral(grid: GridField, n_modes: int) -> SpectralField:
-    """Discrete Fourier coefficients of grid samples, cut off at |k| <= n_modes.
-
-    Requires M >= 2N+1 so that no represented mode is aliased.  The field
-    is the half spectrum k = 0..N read off the DFT.
-    """
-    m = grid.m
-    if m < 2 * n_modes + 1:
-        raise AliasingError(f"need at least {2 * n_modes + 1} grid points for cutoff {n_modes}, got {m}")
-    return SpectralField(n_modes, np.fft.fft(grid.values)[: n_modes + 1] / m)
-
-
-def to_grid(v: SpectralField, m_points: int) -> GridField:
-    """Evaluate the field on M >= 2N+1 collocation points.
-
-    The values are the inverse real DFT of the half spectrum, real by
-    construction.
-    """
-    n = v.n_modes
-    if m_points < 2 * n + 1:
-        raise AliasingError(f"need at least {2 * n + 1} grid points for cutoff {n}, got {m_points}")
-    return GridField(np.fft.irfft(v.half, m_points) * m_points)
 
 
 def apply_multiplier(v: SpectralField, symbol) -> SpectralField:
@@ -181,11 +124,6 @@ def apply_multiplier(v: SpectralField, symbol) -> SpectralField:
     if sym.shape != (2 * v.n_modes + 1,):
         raise ValueError("symbol table does not match the coefficient band")
     return SpectralField.from_coeffs(v.n_modes, sym * v.coeffs)
-
-
-def derivative_x(v: SpectralField) -> SpectralField:
-    """Spatial derivative; multiplier ik, so the output mean is exactly zero."""
-    return apply_multiplier(v, lambda k: 1j * k)
 
 
 @lru_cache(maxsize=None)
@@ -225,11 +163,6 @@ def transport(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     vals = _pocketfft_umath.irfft(half, 1.0, out=np.empty(m))
     square = _pocketfft_umath.rfft_n_even(vals * vals, 1.0, out=np.empty(m // 2 + 1, np.complex128))
     return np.multiply(ik, square[: n + 1], out)
-
-
-def nonlinear_term(v: SpectralField) -> SpectralField:
-    """Dealiased quadratic transport term d/dx of v^2 (`transport` on the field)."""
-    return SpectralField(v.n_modes, transport(v.half))
 
 
 def pairing(u: np.ndarray, v: np.ndarray, weights=1.0) -> np.ndarray:
@@ -280,10 +213,6 @@ def project_mean_zero(v: SpectralField) -> SpectralField:
     return SpectralField(v.n_modes, out)
 
 
-def zero_field(n_modes: int) -> SpectralField:
-    return SpectralField(n_modes, np.zeros(n_modes + 1, dtype=np.complex128))
-
-
 def constant_field(n_modes: int, value: float) -> SpectralField:
     return SpectralField(n_modes, np.append(value, np.zeros(n_modes)))
 
@@ -294,15 +223,6 @@ def cosine_field(n_modes: int, wavenumber: int, amplitude: float = 1.0) -> Spect
         raise ValueError("wavenumber must lie in 1..n_modes")
     out = np.zeros(n_modes + 1, dtype=np.complex128)
     out[wavenumber] = amplitude / 2.0
-    return SpectralField(n_modes, out)
-
-
-def sine_field(n_modes: int, wavenumber: int, amplitude: float = 1.0) -> SpectralField:
-    """amplitude * sin(wavenumber * x)."""
-    if not 0 < wavenumber <= n_modes:
-        raise ValueError("wavenumber must lie in 1..n_modes")
-    out = np.zeros(n_modes + 1, dtype=np.complex128)
-    out[wavenumber] = amplitude / 2j
     return SpectralField(n_modes, out)
 
 

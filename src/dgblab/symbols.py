@@ -77,9 +77,6 @@ class SymbolTable:
         """lam(k) for an integer or integer array with |k| <= n_modes."""
         return self.lam[self._index(k)]
 
-    def a_of(self, k):
-        return self.a[self._index(k)]
-
     def _index(self, k):
         idx = np.asarray(k) + self.n_modes
         if idx.size and (idx.min() < 0 or idx.max() > 2 * self.n_modes):

@@ -1,6 +1,8 @@
 """Tests for config parsing, experiment dispatch, and stable emission."""
 
+import ast
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -316,8 +318,26 @@ class TestMainEntry:
             ("lemmas", ["params.m=200", "grid.n=64"], "symbols overflow"),
             # finite symbols whose modulation spread overflows
             ("lemmas", ["params.beta=1e300", "grid.n=8"], "modulation scan overflowed"),
+            # the fixed-step re-simulation misses the steering bound at this amplitude
+            (
+                "control-nonlinear",
+                ["grid.n=64", "control.u0_amplitude=20", "control.u1_amplitude=20"],
+                "steering certificate 0.655 exceeds 1e-06 at control.dt = 0.01",
+            ),
+            # a horizon too short to steer the truncated system
+            (
+                "control-linear",
+                ["grid.n=8", "profile.kind=bump", "time.t_final=1e-6"],
+                "Gramian numerically singular",
+            ),
         ],
-        ids=["nonfinite-certificate", "symbol-overflow", "modulation-overflow"],
+        ids=[
+            "nonfinite-certificate",
+            "symbol-overflow",
+            "modulation-overflow",
+            "failed-certificate",
+            "singular-gramian",
+        ],
     )
     def test_exit_three_on_numerical_failure(self, tmp_path, capsys, experiment, overrides, says):
         args = [experiment, "--out", str(tmp_path / "num")]
@@ -535,6 +555,16 @@ _ACCEPTED_UNREAD = {
 }
 
 
+def _tiny_configs(tmp_path, experiment):
+    """Configs of `experiment` at grid.n = 8, over both gains and both kinds of initial data."""
+    variants = [{}, {"profile.kind": "bump", "init.kind": "random"}]
+    # control-nonlinear steers with the constant gain only
+    for i, variant in enumerate(variants[: 1 if experiment == "control-nonlinear" else 2]):
+        sizes = {"grid.n": "8", "time.t_final": "0.1", **variant}
+        overrides = [f"{k}={v}" for k, v in sizes.items() if experiment in _KEYS[k][2]]
+        yield parse_config("", experiment, overrides + [f"out={tmp_path / experiment / str(i)}"])
+
+
 def test_key_table_matches_the_runners(tmp_path, monkeypatch):
     # record every key a run reads, the model parameters through cfg.params,
     # over both gains and both kinds of initial data
@@ -551,15 +581,10 @@ def test_key_table_matches_the_runners(tmp_path, monkeypatch):
                 reads.add(f"params.{name}")
             return super().__getattribute__(name)
 
-    variants = [{}, {"profile.kind": "bump", "init.kind": "random"}]
     for experiment in EXPERIMENTS:
         declared = {key for key, entry in _KEYS.items() if experiment in entry[2]} - {"experiment"}
         read = set()
-        # control-nonlinear steers with the constant gain only
-        for i, variant in enumerate(variants[: 1 if experiment == "control-nonlinear" else 2]):
-            sizes = {"grid.n": "8", "time.t_final": "0.1", **variant}
-            overrides = [f"{k}={v}" for k, v in sizes.items() if experiment in _KEYS[k][2]]
-            cfg = parse_config("", experiment, overrides + [f"out={tmp_path / experiment / str(i)}"])
+        for cfg in _tiny_configs(tmp_path, experiment):
             recorded = cfg.params = RecordedParams(**{name: getattr(cfg.params, name) for name in names})
             reads.clear()
             with contextlib.redirect_stdout(io.StringIO()):
@@ -568,6 +593,47 @@ def test_key_table_matches_the_runners(tmp_path, monkeypatch):
         assert read <= declared, (experiment, read - declared)
         expected = declared - _ACCEPTED_UNREAD.get(experiment, set())
         assert read == expected, (experiment, expected ^ read)
+
+
+def test_exports_are_run_or_acceptance_called(tmp_path):
+    # every function or class that dgblab exports is reached by an experiment
+    # or imported by the acceptance suite; a class is reached when any of its
+    # methods runs
+    package = Path(dgblab.__file__).resolve().parent
+    reached = set()
+
+    def record(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and Path(code.co_filename).parent == package:
+            reached.add((frame.f_globals["__name__"], code.co_qualname.split(".")[0]))
+
+    for experiment in EXPERIMENTS:
+        for cfg in _tiny_configs(tmp_path, experiment):
+            sys.setprofile(record)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    run(cfg)
+            finally:
+                sys.setprofile(None)
+
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(acceptance)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dgblab"
+        for alias in node.names
+    }
+    exported = {
+        name: obj
+        for name, obj in vars(dgblab).items()
+        if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+    }
+    unused = sorted(
+        name
+        for name, obj in exported.items()
+        if (obj.__module__, obj.__qualname__) not in reached and name not in imported
+    )
+    assert not unused, f"exported but neither run nor called by the acceptance suite: {unused}"
 
 
 def test_readme_config_parses():

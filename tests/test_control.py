@@ -41,7 +41,6 @@ from dgblab.spectral import (
     mean,
     random_field,
     sobolev_norm,
-    zero_field,
 )
 from dgblab.symbols import BENJAMIN, build_symbols
 
@@ -155,7 +154,7 @@ class TestFlowGramian:
 
 class TestLinearControl:
     def test_zero_steering(self, global_profile):
-        prob = ControlProblem(BENJAMIN, global_profile, 8, 1.0, zero_field(8), zero_field(8))
+        prob = ControlProblem(BENJAMIN, global_profile, 8, 1.0, constant_field(8, 0.0), constant_field(8, 0.0))
         sol = linear_control_gramian(prob)
         assert sol.terminal_error == 0.0
         assert sol.control_norm == pytest.approx(0.0, abs=1e-12)
@@ -386,7 +385,7 @@ class TestNonlinearControl:
     )
     def test_endpoint_resolution_warning(self, global_profile, mode, warns):
         # n = 16: the modes |k| >= 12 are the tail; the zero state is resolved
-        u = zero_field(16) if mode == 0 else cosine_field(16, mode, 0.05)
+        u = constant_field(16, 0.0) if mode == 0 else cosine_field(16, mode, 0.05)
         prob = ControlProblem(BENJAMIN, global_profile, 16, 1.0, u, u)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

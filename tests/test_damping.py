@@ -28,8 +28,6 @@ from dgblab.spectral import (
     l2_norm,
     mean,
     random_field,
-    to_grid,
-    zero_field,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -61,17 +59,18 @@ class TestProfiles:
         assert np.allclose(bump.d_symbol(ks), bump.d_symbol(-ks), rtol=0, atol=0)
 
     def test_bump_normalization_exact(self, bump):
-        assert bump.coeff(0) == 1.0 / TWO_PI
+        assert bump.ghat[bump.k_modes] == 1.0 / TWO_PI
 
     def test_bump_nonnegative_on_grid(self, bump):
-        g = to_grid(gain_field(bump), 4096).values
+        g = np.fft.irfft(gain_field(bump).half, 4096) * 4096
         assert g.min() >= -1e-5 * g.max()
         assert g.max() > 0.5
 
     def test_bump_supported_inside_interval(self, bump):
-        g = to_grid(gain_field(bump), 4096)
-        outside = (g.x < BUMP_SUPPORT[0] - 0.05) | (g.x > BUMP_SUPPORT[1] + 0.05)
-        assert np.abs(g.values[outside]).max() < 1e-5
+        g = np.fft.irfft(gain_field(bump).half, 4096) * 4096
+        x = TWO_PI * np.arange(4096) / 4096
+        outside = (x < BUMP_SUPPORT[0] - 0.05) | (x > BUMP_SUPPORT[1] + 0.05)
+        assert np.abs(g[outside]).max() < 1e-5
 
     def test_translation_leaves_d_unchanged(self):
         # d depends on |ghat|^2 only; a shifted support changes phases alone
@@ -96,7 +95,7 @@ class TestProfiles:
     )
     def test_coarse_bands_stay_nonnegative(self, a, b, modes):
         # g = |q|^2 on any band, however narrow the support against it
-        g = to_grid(gain_field(make_profile_bump(a, b, modes, delta=1.0)), 4096).values
+        g = np.fft.irfft(gain_field(make_profile_bump(a, b, modes, delta=1.0)).half, 4096) * 4096
         assert g.min() >= -1e-14 * g.max()
         assert g.max() > 0
 
@@ -130,20 +129,21 @@ class TestProfiles:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_ghat_rejected(self, bad):
-        ghat = [[bad, 0.0], [1.0 / TWO_PI, 0.0], [bad, 0.0]]
-        data = {"support": "global", "modes": 1, "delta": 1.0, "ghat": ghat}
+        ghat = np.array([bad, 1.0 / TWO_PI, bad], dtype=np.complex128)
         with pytest.raises(ProfileError):
-            DampingProfile.from_json_dict(data)
+            DampingProfile(delta=1.0, ghat=ghat, support="global")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_delta_rejected(self, bad):
-        data = make_profile_global(1.0).to_json_dict()
-        data["delta"] = bad
+        ghat = make_profile_global(1.0).ghat
         with pytest.raises(ProfileError):
-            DampingProfile.from_json_dict(data)
+            DampingProfile(delta=bad, ghat=ghat, support="global")
 
     def test_json_round_trip(self, bump):
-        again = DampingProfile.from_json_dict(bump.to_json_dict())
+        # profile.json holds the profile exactly
+        data = bump.to_json_dict()
+        ghat = np.array([complex(re, im) for re, im in data["ghat"]])
+        again = DampingProfile(delta=data["delta"], ghat=ghat, support=tuple(data["support"]))
         assert np.array_equal(again.ghat, bump.ghat)
         assert again.support == bump.support
         assert again.delta == bump.delta
@@ -164,11 +164,11 @@ class TestGainOperator:
         v = random_field(24, rng, mean_zero=False)
         out = apply_gain(bump, v)
         m = 512
-        g = to_grid(gain_field(bump), m).values
-        vv = to_grid(v, m).values
+        g = np.fft.irfft(gain_field(bump).half, m) * m
+        vv = np.fft.irfft(v.half, m) * m
         pairing = np.sum(g * vv) * TWO_PI / m  # exact for band-limited integrands
         direct = g * (vv - pairing)
-        assert np.allclose(to_grid(out, m).values, direct, atol=1e-10)
+        assert np.allclose(np.fft.irfft(out.half, m) * m, direct, atol=1e-10)
 
     def test_output_mean_zero(self, bump):
         rng = np.random.default_rng(1)
@@ -199,7 +199,7 @@ class TestGainOperator:
 
 class TestFeedbackDecomposition:
     def test_zero_field_maps_to_zero(self, bump):
-        z = zero_field(16)
+        z = constant_field(16, 0.0)
         for op in (apply_feedback, apply_dissipation_part, apply_smoothing_remainder, apply_mean_correction):
             assert l2_norm(op(bump, z)) == 0.0
 

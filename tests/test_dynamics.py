@@ -13,6 +13,7 @@ import scipy.linalg
 from dgblab.control import ControlProblem
 from dgblab.damping import dissipation_form, feedback_matrix, make_profile_bump, make_profile_global
 from dgblab.dynamics import (
+    Etdrk4Integrator,
     TrajectoryRecord,
     _expm,
     _real_coords,
@@ -23,7 +24,6 @@ from dgblab.dynamics import (
     energy_residual,
     linear_propagate,
     linear_trajectory,
-    nonlinear_step,
     semigroup_apply,
     simulate,
     simulate_damped,
@@ -37,7 +37,7 @@ from dgblab.spectral import (
     mean,
     project_mean_zero,
     random_field,
-    zero_field,
+    transport,
 )
 from dgblab.symbols import BENJAMIN, build_symbols, multiplicity_scan
 
@@ -312,7 +312,7 @@ class TestStageWeights:
 
 class TestIntegrator:
     def test_zero_stays_zero(self, table, global_profile):
-        out = nonlinear_step(table, global_profile, zero_field(16), 1e-3)
+        out = SpectralField(16, Etdrk4Integrator(table, global_profile, 16, 1e-3).step(constant_field(16, 0.0).half, 0.0))
         assert l2_norm(out) == 0.0
 
     def test_tiny_amplitude_matches_linear(self, table, global_profile):
@@ -320,24 +320,23 @@ class TestIntegrator:
         rng = np.random.default_rng(6)
         v = 1e-8 * random_field(16, rng)
         dt = 1e-3
-        nl = nonlinear_step(table, global_profile, v, dt)
+        nl = SpectralField(16, Etdrk4Integrator(table, global_profile, 16, dt).step(v.half, 0.0))
         lin = linear_propagate(loop, v, dt)
         assert l2_norm(nl - lin) < 1e-6 * l2_norm(v)
 
     def test_norm_decreases_over_step(self, table, global_profile):
         v = cosine_field(32, 1, 0.1)
-        out = nonlinear_step(table, global_profile, v, 1e-3)
+        out = SpectralField(32, Etdrk4Integrator(table, global_profile, 32, 1e-3).step(v.half, 0.0))
         assert l2_norm(out) < l2_norm(v)
 
     def test_mean_held_exactly(self, table, bump):
         v = constant_field(24, 0.4) + cosine_field(24, 1, 0.05)
-        out = nonlinear_step(table, bump, v, 1e-3)
+        out = SpectralField(24, Etdrk4Integrator(table, bump, 24, 1e-3).step(v.half, 0.0))
         assert mean(out) == 0.4
 
     def test_step_output_exactly_real(self, table, bump):
         # conjugate symmetry and the mean hold by construction, not to rounding:
         # the field a recorded half spectrum extends to is exactly real
-        from dgblab.dynamics import Etdrk4Integrator
         from dgblab.spectral import conjugate_extend
 
         n = 32
@@ -374,16 +373,13 @@ class TestIntegrator:
             assert np.abs(_state(got, n) - _state(expected, n)).max() < 1e-13
 
     def test_transport_matches_spectral_module(self, table, bump):
-        from dgblab.dynamics import Etdrk4Integrator
-        from dgblab.spectral import nonlinear_term
-
         n = 24
         stepper = Etdrk4Integrator(table, bump, n, 1e-3)
         rng = np.random.default_rng(17)
         for _ in range(3):
             v = random_field(n, rng, decay=0.5)
             got = stepper.nonlinearity(v.half, 0.0, np.empty(n + 1, dtype=complex))
-            expected = -nonlinear_term(v).coeffs[n:]
+            expected = -transport(v.half)
             assert np.abs(got - expected).max() < 1e-13
 
     @pytest.mark.parametrize("n", [16, 64])
@@ -391,8 +387,6 @@ class TestIntegrator:
         # the step forms the c-stage and the final combination as single
         # products of side-by-side weights; the reference is Cox-Matthews'
         # combination with one matrix-vector product per weight
-        from dgblab.dynamics import Etdrk4Integrator
-
         stepper = Etdrk4Integrator(build_symbols(BENJAMIN, n), bump, n, 1e-3)
         e_half, q = np.hsplit(stepper._stage_c, 2)
         e_full, f1, f2, f3 = np.hsplit(stepper._final, 4)
@@ -458,8 +452,6 @@ class TestStepContract:
 
     @pytest.fixture(params=["bump", "global"])
     def make_stepper(self, request, bump, global_profile):
-        from dgblab.dynamics import Etdrk4Integrator
-
         profile = bump if request.param == "bump" else global_profile
         table = build_symbols(BENJAMIN, 32)
         return lambda: Etdrk4Integrator(table, profile, 32, 1e-3)
@@ -505,8 +497,6 @@ class TestStepContract:
 def test_integrators_step_concurrently(bump):
     # each integrator owns its workspace, so two stepping at once in threads
     # (as a library caller may run them) give the serial results bit for bit
-    from dgblab.dynamics import Etdrk4Integrator
-
     n, steps = 32, 400
     table = build_symbols(BENJAMIN, n)
     starts = [random_field(n, np.random.default_rng(seed), amplitude=0.5).half for seed in (1, 2)]
@@ -546,9 +536,9 @@ _INF = float("inf")
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda tab, p, v: nonlinear_step(tab, p, v, _NAN),
-        lambda tab, p, v: nonlinear_step(tab, None, v, _NAN),
-        lambda tab, p, v: nonlinear_step(tab, p, v, _INF),
+        lambda tab, p, v: Etdrk4Integrator(tab, p, 8, _NAN).step(v.half, 0.0),
+        lambda tab, p, v: Etdrk4Integrator(tab, None, 8, _NAN).step(v.half, 0.0),
+        lambda tab, p, v: Etdrk4Integrator(tab, p, 8, _INF).step(v.half, 0.0),
         lambda tab, p, v: semigroup_apply(tab, p, v, _NAN),
         lambda tab, p, v: semigroup_apply(tab, p, v, _INF),
         lambda tab, p, v: linear_propagate(build_closed_loop(tab, p, 8), v, _NAN),
@@ -578,14 +568,12 @@ def test_non_finite_arguments_rejected(entry, table, bump):
 
 class TestSimulate:
     def test_zero_initial_state(self, table, global_profile):
-        rec = simulate(table, global_profile, zero_field(16), 0.1, 1e-2)
+        rec = simulate(table, global_profile, constant_field(16, 0.0), 0.1, 1e-2)
         assert np.all(rec.l2norms == 0.0)
 
     def test_recorded_norms_and_means_of_the_states(self, table, bump):
         # read off each state's coefficients, bit for bit the field functions'
         # values on the states of an integrator stepped by hand
-        from dgblab.dynamics import Etdrk4Integrator
-
         v0 = constant_field(16, 0.3) + random_field(16, np.random.default_rng(12), decay=1.0)
         rec = simulate(table, bump, v0, 0.05, 1e-3, record_every=5)
         dt = rec.run_meta["dt"]
@@ -657,7 +645,7 @@ class TestSimulate:
 
 class TestEnergyResidual:
     def test_zero_trajectory(self, table, global_profile):
-        rec = simulate(table, global_profile, zero_field(16), 0.5, 1e-2, record_every=5)
+        rec = simulate(table, global_profile, constant_field(16, 0.0), 0.5, 1e-2, record_every=5)
         assert np.nanmax(np.abs(rec.energy_residuals)) == 0.0
 
     def test_linear_run_closed_form(self, table, global_profile):
@@ -683,8 +671,8 @@ class TestDecayFit:
         norms = np.exp(-0.3 * times)
         rec = TrajectoryRecord(
             times=times,
-            initial=zero_field(2),
-            final=zero_field(2),
+            initial=constant_field(2, 0.0),
+            final=constant_field(2, 0.0),
             l2norms=norms,
             means=np.zeros_like(times),
             energy_residuals=None,
@@ -714,8 +702,8 @@ class TestDecayFit:
         norms = np.concatenate([np.exp(-times[:6]), np.full(5, 1e-300)])
         rec = TrajectoryRecord(
             times=times,
-            initial=zero_field(2),
-            final=zero_field(2),
+            initial=constant_field(2, 0.0),
+            final=constant_field(2, 0.0),
             l2norms=norms,
             means=np.zeros_like(times),
             energy_residuals=None,
@@ -731,8 +719,8 @@ class TestDecayFit:
         norms = np.concatenate([np.exp(-times[:6]), np.zeros(5)])
         rec = TrajectoryRecord(
             times=times,
-            initial=zero_field(2),
-            final=zero_field(2),
+            initial=constant_field(2, 0.0),
+            final=constant_field(2, 0.0),
             l2norms=norms,
             means=np.zeros_like(times),
             energy_residuals=None,

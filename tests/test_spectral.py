@@ -6,29 +6,22 @@ import threading
 import numpy as np
 import pytest
 
-from dgblab.errors import AliasingError, HermitianSymmetryError
+from dgblab.errors import HermitianSymmetryError
 from dgblab.spectral import (
-    GridField,
     SpectralField,
     apply_multiplier,
     conjugate_extend,
     constant_field,
     cosine_field,
-    derivative_x,
     l2_inner,
     l2_norm,
     mean,
-    nonlinear_term,
     norm_sq,
     pairing,
     project_mean_zero,
     random_field,
-    sine_field,
     sobolev_norm,
-    to_grid,
-    to_spectral,
     transport,
-    zero_field,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -53,58 +46,24 @@ def convolution_transport(v):
         for a in range(-n, n + 1):
             b = k - a
             if abs(b) <= n:
-                acc += v.coeff(a) * v.coeff(b)
+                acc += v.coeffs[a + n] * v.coeffs[b + n]
         out[k + n] = 1j * k * acc
     return SpectralField.from_coeffs(n, out)
 
 
 class TestTransforms:
-    def test_constant_grid_to_spectral(self):
-        v = to_spectral(GridField(np.ones(8)), 2)
-        assert np.allclose(v.coeffs, [0, 0, 1, 0, 0])
-
-    def test_cosine_grid_to_spectral(self):
-        g = GridField.from_function(np.cos, 16)
-        v = to_spectral(g, 2)
-        expected = np.array([0, 0.5, 0, 0.5, 0])
-        assert np.allclose(v.coeffs, expected, atol=1e-15)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(0)
-        vals = rng.standard_normal(16)
-        back = to_grid(to_spectral(GridField(vals), 5), 16)
-        # 16 >= 2*5+1 does not resolve all 16-point content; compare band-limited part
-        v = to_spectral(GridField(vals), 7)
-        back = to_grid(v, 16)
-        assert np.allclose(back.values, naive_synthesis(v, 16), atol=1e-12)
-
-    def test_round_trip_band_limited(self):
-        rng = np.random.default_rng(1)
-        v = random_field(5, rng, mean_zero=False)
-        grid = to_grid(v, 16)
-        again = to_spectral(grid, 5)
-        assert np.abs(again.coeffs - v.coeffs).max() < 1e-12
-
     def test_to_grid_matches_naive_summation(self):
         rng = np.random.default_rng(2)
         v = random_field(6, rng, decay=0.3, mean_zero=False)
-        grid = to_grid(v, 32)
-        assert np.allclose(grid.values, naive_synthesis(v, 32), atol=1e-13)
+        assert np.allclose(np.fft.irfft(v.half, 32) * 32, naive_synthesis(v, 32), atol=1e-13)
 
     def test_single_mode_synthesis(self):
         v = cosine_field(2, 1)
-        g = to_grid(v, 8)
-        assert np.allclose(g.values, np.cos(g.x), atol=1e-14)
+        x = TWO_PI * np.arange(8) / 8
+        assert np.allclose(np.fft.irfft(v.half, 8) * 8, np.cos(x), atol=1e-14)
 
     def test_constant_synthesis(self):
-        g = to_grid(constant_field(3, 2.5), 8)
-        assert np.allclose(g.values, 2.5)
-
-    def test_aliasing_rejected(self):
-        with pytest.raises(AliasingError):
-            to_spectral(GridField(np.ones(8)), 4)
-        with pytest.raises(AliasingError):
-            to_grid(zero_field(4), 8)
+        assert np.allclose(np.fft.irfft(constant_field(3, 2.5).half, 8) * 8, 2.5)
 
     def test_hermitian_violation_rejected(self):
         bad = np.array([0.3 + 0.1j, 1.0, 0.5 + 0.2j])
@@ -136,42 +95,45 @@ class TestMultipliers:
         assert np.abs(out.coeffs - v.coeffs).max() < 1e-15
 
     def test_half_order_symbol_on_sine(self):
-        # |2|^{1/2} sin(2x) = sqrt(2) sin(2x)
-        v = sine_field(8, 2)
+        # |2|^{1/2} sin(2x) = sqrt(2) sin(2x); sin 2x has half spectrum -i/2 at k = 2
+        v = SpectralField(8, np.eye(9)[2] * -0.5j)
         out = apply_multiplier(v, lambda k: np.abs(k) ** 0.5)
-        expected = sine_field(8, 2, np.sqrt(2.0))
+        expected = np.sqrt(2.0) * v
         assert np.abs(out.coeffs - expected.coeffs).max() < 1e-15
 
     def test_derivative_of_cosine(self):
-        v = derivative_x(cosine_field(4, 1))
-        expected = sine_field(4, 1, -1.0)
+        # d/dx is the odd imaginary symbol ik, which keeps the field real
+        v = apply_multiplier(cosine_field(4, 1), lambda k: 1j * k)
+        # -sin x, whose half spectrum is i/2 at k = 1
+        expected = SpectralField(4, np.eye(5)[1] * 0.5j)
         assert np.abs(v.coeffs - expected.coeffs).max() < 1e-15
 
     def test_derivative_of_constant(self):
-        v = derivative_x(constant_field(4, 3.0))
+        v = apply_multiplier(constant_field(4, 3.0), lambda k: 1j * k)
         assert np.abs(v.coeffs).max() == 0.0
 
     def test_derivative_of_third_mode(self):
         v = cosine_field(4, 3)
-        out = derivative_x(v)
-        assert out.coeff(3) == pytest.approx(3j * v.coeff(3))
+        out = apply_multiplier(v, lambda k: 1j * k)
+        assert out.half[3] == pytest.approx(3j * v.half[3])
         assert mean(out) == 0.0
 
 
 class TestNonlinearTerm:
     def test_zero(self):
-        out = nonlinear_term(zero_field(8))
+        out = SpectralField(8, transport(constant_field(8, 0.0).half))
         assert np.abs(out.coeffs).max() == 0.0
 
     def test_double_angle(self):
-        # d/dx cos^2 x = -sin 2x
-        out = nonlinear_term(cosine_field(8, 1))
-        expected = sine_field(8, 2, -1.0)
+        # d/dx cos^2 x = -sin 2x, whose half spectrum is i/2 at k = 2
+        out = SpectralField(8, transport(cosine_field(8, 1).half))
+        expected = SpectralField(8, np.eye(9)[2] * 0.5j)
         assert np.abs(out.coeffs - expected.coeffs).max() < 1e-15
 
     def test_against_convolution_oracle(self):
-        v = cosine_field(8, 1) + sine_field(8, 2)
-        out = nonlinear_term(v)
+        # cos x + sin 2x
+        v = cosine_field(8, 1) + SpectralField(8, np.eye(9)[2] * -0.5j)
+        out = SpectralField(8, transport(v.half))
         oracle = convolution_transport(v)
         assert np.abs(out.coeffs - oracle.coeffs).max() < 1e-12
 
@@ -184,7 +146,7 @@ class TestNonlinearTerm:
     def test_random_fields_match_oracle(self, seed, n):
         rng = np.random.default_rng(seed)
         v = random_field(n, rng, decay=0.5)
-        out = nonlinear_term(v)
+        out = SpectralField(n, transport(v.half))
         oracle = convolution_transport(v)
         scale = max(1.0, np.abs(oracle.coeffs).max())
         assert np.abs(out.coeffs - oracle.coeffs).max() < 1e-12 * scale
@@ -234,12 +196,12 @@ class TestNonlinearTerm:
         rng = np.random.default_rng(7)
         for _ in range(5):
             v = random_field(16, rng, mean_zero=False)
-            assert mean(nonlinear_term(v)) == 0.0
+            assert mean(SpectralField(16, transport(v.half))) == 0.0
 
 
 class TestNormsAndMeans:
     def test_zero_norm(self):
-        assert sobolev_norm(zero_field(4), 1.3) == 0.0
+        assert sobolev_norm(constant_field(4, 0.0), 1.3) == 0.0
 
     def test_constant_any_order(self):
         v = constant_field(4, 1.0)
@@ -258,8 +220,8 @@ class TestNormsAndMeans:
     def test_parseval_against_grid(self):
         rng = np.random.default_rng(5)
         v = random_field(10, rng, mean_zero=False)
-        g = to_grid(v, 64)
-        quad = np.sqrt(np.sum(g.values**2) * TWO_PI / g.m)
+        values = np.fft.irfft(v.half, 64) * 64
+        quad = np.sqrt(np.sum(values**2) * TWO_PI / 64)
         assert l2_norm(v) == pytest.approx(quad, rel=1e-12)
 
     def test_mean_and_projection(self):
@@ -271,7 +233,8 @@ class TestNormsAndMeans:
         assert np.abs(w.coeffs - cosine_field(4, 1).coeffs).max() == 0.0
 
     def test_inner_product_orthogonality(self):
-        assert l2_inner(cosine_field(4, 1), sine_field(4, 1)) == pytest.approx(0.0, abs=1e-15)
+        sine = SpectralField(4, np.eye(5)[1] * -0.5j)
+        assert l2_inner(cosine_field(4, 1), sine) == pytest.approx(0.0, abs=1e-15)
         assert l2_inner(cosine_field(4, 1), cosine_field(4, 1)) == pytest.approx(np.pi)
 
     @pytest.mark.parametrize("weights", ["scalar", "vector"])
@@ -311,7 +274,7 @@ class TestHalfSpectrum:
         half = np.array([1.0, 2.0 + 1.0j])
         v = SpectralField(1, half)
         half[1] = 7.0
-        assert v.coeff(1) == 2.0 + 1.0j and v.coeff(-1) == 2.0 - 1.0j
+        assert np.array_equal(v.coeffs, [2.0 - 1.0j, 1.0, 2.0 + 1.0j])
         assert not v.half.flags.writeable and not v.coeffs.flags.writeable
 
     def test_one_post_init_per_field(self, monkeypatch):
@@ -338,7 +301,7 @@ class TestHalfSpectrum:
 
     @pytest.mark.parametrize("scalar", [2, 2 + 0j, np.complex64(2), np.array(2.0)])
     def test_real_scalar_scales(self, scalar):
-        assert (cosine_field(4, 1) * scalar).coeff(1) == 1.0
+        assert (cosine_field(4, 1) * scalar).half[1] == 1.0
 
 
 class TestHermitianPreservation:
@@ -346,14 +309,14 @@ class TestHermitianPreservation:
     def test_pipeline_preserves_symmetry(self, seed):
         rng = np.random.default_rng(seed)
         v = random_field(16, rng, mean_zero=False)
-        for op in (derivative_x, nonlinear_term, project_mean_zero):
-            out = op(v)
+        derivative = apply_multiplier(v, lambda k: 1j * k)
+        for out in (derivative, SpectralField(16, transport(v.half)), project_mean_zero(v)):
             flipped = np.conj(out.coeffs[::-1])
             assert np.array_equal(out.coeffs, flipped)
 
     def test_cutoff_padding_and_arithmetic(self):
         v = cosine_field(4, 2)
         w = v.with_cutoff(8)
-        assert w.n_modes == 8 and w.coeff(2) == v.coeff(2)
+        assert w.n_modes == 8 and w.half[2] == v.half[2]
         assert l2_norm(w - v) == 0.0
         assert l2_norm(2.0 * v - v - v) == 0.0
