@@ -53,11 +53,10 @@ from .control import (
     ControlProblem,
     ControlSolution,
     biorthogonal_family,
-    decay_rate_predict,
     linear_control_global_modal,
     linear_control_gramian,
     nonlinear_control_global,
     observability_constant,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

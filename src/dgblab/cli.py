@@ -2,11 +2,15 @@
 
 Configs are flat ``key = value`` lines with dotted namespaces and ``#``
 comments; unknown keys, and keys the experiment does not read, are rejected.
-Every run writes a ``manifest.json`` with the config echo and summary
-scalars, plus experiment-specific CSV/JSON artifacts with 17-significant-digit
-floats, so reruns with the same config and seed are byte-identical.
+Each experiment's runner only computes: it returns its summary scalars and
+its experiment-specific CSV/JSON artifacts, and `run` alone writes them, with
+17-significant-digit floats, so reruns with the same config and seed are
+byte-identical.  ``manifest.json``, with the config echo and the summary, is
+written last, so a run that fails writes no manifest, and one that fails in
+its computation writes no file.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure.
+Exit codes: 0 success, 2 validation failure or an unwritable output file,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ import numpy as np
 from . import __version__
 from .control import (
     ControlProblem,
-    decay_rate_predict,
     linear_control_gramian,
     nonlinear_control_global,
+    observability_constant,
 )
 from .damping import DampingProfile, make_profile_bump, make_profile_global
 from .dynamics import decay_fit, simulate_damped
@@ -265,19 +269,8 @@ def _short_hash(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
 
 
-def _write_manifest(out_dir: Path, cfg: RunConfig, summary: dict, wall: float):
-    echo = cfg.echo()
-    manifest = {
-        "version": __version__,
-        "experiment": cfg.experiment,
-        "run_id": _short_hash(echo),
-        "config": echo,
-        "summary": summary,
-        "wall_time_s": wall,
-    }
-    tmp = out_dir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, out_dir / "manifest.json")
+def _write_json(path: Path, data: dict):
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _build_profile(cfg: RunConfig) -> DampingProfile:
@@ -297,58 +290,38 @@ def _build_initial(cfg: RunConfig, rng: np.random.Generator) -> SpectralField:
     return u + constant_field(n, cfg["init.mean"])
 
 
-def _write_profile_artifacts(out_dir: Path, profile: DampingProfile, n: int):
-    (out_dir / "profile.json").write_text(
-        json.dumps(profile.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    )
+def _profile_artifacts(profile: DampingProfile, n: int) -> dict:
+    """`profile.json`, and `dsymbol.csv`: the gain's symbol d(k) against <k>^delta."""
     ks = np.arange(1, 2 * n + 1)
     d = profile.d_symbol(ks)
     weight = (1.0 + ks.astype(float) ** 2) ** (0.5 * profile.delta)
-    header = ["k", "d", "bracket_pow_delta", "ratio"]
-    write_csv(out_dir / "dsymbol.csv", header, [ks, d, weight, d / weight])
+    return {
+        "profile.json": profile.to_json_dict(),
+        "dsymbol.csv": (["k", "d", "bracket_pow_delta", "ratio"], [ks, d, weight, d / weight]),
+    }
 
 
-def _write_trajectory(out_dir: Path, record):
-    resid = record.energy_residuals
-    if resid is None:
-        resid = np.full(record.times.size, np.nan)
-    write_csv(
-        out_dir / "trajectory.csv",
-        ["t", "l2norm", "mean", "energy_residual"],
-        [record.times, record.l2norms, record.means, resid],
-    )
+def _control_artifacts(profile: DampingProfile, n: int, solution) -> dict:
+    """The profile's artifacts, then `control.csv`: a row (t, k, re, im) per sample time and k = 0..N.
+
+    The control is a real field, so its negative modes are the conjugates
+    of the rows written, and are not written.
+    """
+    n_times, width = solution.samples.shape
+    coeffs = solution.samples.ravel()
+    columns = [np.repeat(solution.times, width), np.tile(np.arange(width), n_times), coeffs.real, coeffs.imag]
+    return {**_profile_artifacts(profile, n), "control.csv": (["t", "k", "re", "im"], columns)}
 
 
 def _spectral_dump(field_):
     return {"n_modes": field_.n_modes, "coeffs": [[c.real, c.imag] for c in field_.half.tolist()]}
 
 
-def _write_snapshots(out_dir: Path, record):
-    """Write `snapshots.json`: the run's two endpoint states, as coefficients k = 0..N each."""
-    data = {
-        "initial": {"t": float(record.times[0]), "state": _spectral_dump(record.initial)},
-        "final": {"t": float(record.times[-1]), "state": _spectral_dump(record.final)},
-    }
-    (out_dir / "snapshots.json").write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _write_control(out_dir: Path, solution):
-    """Write `control.csv`: a row (t, k, re, im) per sample time and k = 0..N.
-
-    The control is a real field, so its negative modes are the conjugates
-    of the rows written, and are not written.
-    """
-    n_times, width = solution.samples.shape
-    times = np.repeat(solution.times, width)
-    ks = np.tile(np.arange(width), n_times)
-    coeffs = solution.samples.ravel()
-    write_csv(
-        out_dir / "control.csv", ["t", "k", "re", "im"], [times, ks, coeffs.real, coeffs.imag]
-    )
-
-
 def _damped_run(cfg: RunConfig, u0: SpectralField) -> tuple:
-    """Integrate the damped closed loop from u0; returns the profile, the record and the summary."""
+    """Integrate the damped closed loop from u0; returns the record, the summary and the artifacts.
+
+    `snapshots.json` holds the run's two endpoint states, as coefficients k = 0..N each.
+    """
     profile = _build_profile(cfg)
     record = simulate_damped(
         cfg.params,
@@ -360,6 +333,8 @@ def _damped_run(cfg: RunConfig, u0: SpectralField) -> tuple:
     )
     resid = record.energy_residuals
     max_resid = float(np.nanmax(np.abs(resid))) if resid is not None else float("nan")
+    if resid is None:
+        resid = np.full(record.times.size, np.nan)
     summary = {
         "profile_hash": _short_hash(profile.to_json_dict()),
         "final_norm": float(record.l2norms[-1]),
@@ -367,30 +342,33 @@ def _damped_run(cfg: RunConfig, u0: SpectralField) -> tuple:
         "max_energy_residual": max_resid,
         "max_norm_increase": float(np.diff(record.l2norms).max(initial=-np.inf)),
     }
-    return profile, record, summary
+    artifacts = {
+        **_profile_artifacts(profile, cfg["grid.n"]),
+        "trajectory.csv": (
+            ["t", "l2norm", "mean", "energy_residual"],
+            [record.times, record.l2norms, record.means, resid],
+        ),
+        "snapshots.json": {
+            "initial": {"t": float(record.times[0]), "state": _spectral_dump(record.initial)},
+            "final": {"t": float(record.times[-1]), "state": _spectral_dump(record.final)},
+        },
+    }
+    return record, summary, artifacts
 
 
-def _write_damped_artifacts(out_dir: Path, cfg: RunConfig, profile: DampingProfile, record):
-    _write_profile_artifacts(out_dir, profile, cfg["grid.n"])
-    _write_trajectory(out_dir, record)
-    _write_snapshots(out_dir, record)
-
-
-def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
+def _run_simulate(cfg: RunConfig) -> tuple:
     u0 = _build_initial(cfg, np.random.default_rng(cfg["seed"]))
-    profile, record, summary = _damped_run(cfg, u0)
-    _write_damped_artifacts(out_dir, cfg, profile, record)
-    return summary
+    _, summary, artifacts = _damped_run(cfg, u0)
+    return summary, artifacts
 
 
-def _run_stabilize(cfg: RunConfig, out_dir: Path) -> dict:
-    """The damped run and its decay fit; an unusable fit exits before any artifact is written."""
+def _run_stabilize(cfg: RunConfig) -> tuple:
     u0 = _build_initial(cfg, np.random.default_rng(cfg["seed"]))
     if not np.any(u0.half[1:]):
         raise ConfigError(
             "the initial fluctuation is zero and has no decay rate; start from a nonzero state"
         )
-    profile, record, summary = _damped_run(cfg, u0)
+    record, summary, artifacts = _damped_run(cfg, u0)
     try:
         fit = decay_fit(record, cfg.fit_window())
     except ValueError as exc:
@@ -407,8 +385,7 @@ def _run_stabilize(cfg: RunConfig, out_dir: Path) -> dict:
             "rate_over_abscissa": fit.rate / (-abscissa),
         }
     )
-    _write_damped_artifacts(out_dir, cfg, profile, record)
-    return summary
+    return summary, artifacts
 
 
 def _check_certificate(solution, where: str = ""):
@@ -416,7 +393,7 @@ def _check_certificate(solution, where: str = ""):
         raise DgbError(f"steering certificate {solution.terminal_error:.3g} exceeds {_STEERING_TOL:g}{where}")
 
 
-def _run_control_linear(cfg: RunConfig, out_dir: Path) -> dict:
+def _run_control_linear(cfg: RunConfig) -> tuple:
     rng = np.random.default_rng(cfg["seed"])
     profile = _build_profile(cfg)
     n = cfg["grid.n"]
@@ -425,18 +402,17 @@ def _run_control_linear(cfg: RunConfig, out_dir: Path) -> dict:
     problem = ControlProblem(cfg.params, profile, n, cfg["time.t_final"], v0, v1)
     solution = linear_control_gramian(problem)
     _check_certificate(solution)
-    _write_profile_artifacts(out_dir, profile, n)
-    _write_control(out_dir, solution)
-    return {
+    summary = {
         "method": solution.method,
         "terminal_error": solution.terminal_error,
         "control_norm": solution.control_norm,
         "gramian_min_eig": solution.info["gramian_min_eig"],
         "gramian_cond": solution.info["gramian_cond"],
     }
+    return summary, _control_artifacts(profile, n, solution)
 
 
-def _run_control_nonlinear(cfg: RunConfig, out_dir: Path) -> dict:
+def _run_control_nonlinear(cfg: RunConfig) -> tuple:
     n = cfg["grid.n"]
     profile = _build_profile(cfg)
     u0 = cosine_field(n, cfg["control.u0_mode"], cfg["control.u0_amplitude"])
@@ -444,70 +420,57 @@ def _run_control_nonlinear(cfg: RunConfig, out_dir: Path) -> dict:
     problem = ControlProblem(cfg.params, profile, n, cfg["time.t_final"], u0, u1)
     solution = nonlinear_control_global(problem, dt=cfg["control.dt"])
     _check_certificate(solution, f" at control.dt = {cfg['control.dt']:g}")
-    _write_profile_artifacts(out_dir, profile, n)
-    _write_control(out_dir, solution)
-    return {
+    summary = {
         "method": solution.method,
         "terminal_error": solution.terminal_error,
         "control_norm": solution.control_norm,
     }
+    return summary, _control_artifacts(profile, n, solution)
 
 
-def _run_observability(cfg: RunConfig, out_dir: Path) -> dict:
+def _run_observability(cfg: RunConfig) -> tuple:
     profile = _build_profile(cfg)
     n = cfg["grid.n"]
-    table = build_symbols(cfg.params, n)
-    rates = decay_rate_predict(table, profile, cfg["time.t_final"], n)
-    _write_profile_artifacts(out_dir, profile, n)
-    return {
-        "c_obs": rates.report.c_obs,
-        "rho": rates.report.rho,
-        "gamma_gramian": rates.gamma_gramian,
-        "gamma_abscissa": rates.gamma_abscissa,
+    report = observability_constant(build_symbols(cfg.params, n), profile, cfg["time.t_final"], n)
+    summary = {
+        "c_obs": report.c_obs,
+        "rho": report.rho,
+        "gamma_gramian": report.gamma_gramian,
+        "gamma_abscissa": report.gamma_abscissa,
     }
+    return summary, _profile_artifacts(profile, n)
 
 
-def _run_lemmas(cfg: RunConfig, out_dir: Path) -> dict:
+def _run_lemmas(cfg: RunConfig) -> tuple:
     n = cfg["grid.n"]
     n_max = min(cfg["lemmas.n_max"], n)
     table = build_symbols(cfg.params, n)
-
     mult = multiplicity_scan(table, tol=cfg["lemmas.tol"])
-    mult_rows = [
-        (c.representative, c.count, c.eigenvalue, "|".join(str(m) for m in c.members))
-        for c in mult.classes
-    ]
-    write_csv(
-        out_dir / "lemma_multiplicity.csv",
-        ["representative", "count", "eigenvalue", "members"],
-        zip(*mult_rows),
-    )
-
     gaps = gap_check(table)
-    gap_rows = [(r.k, r.gap, r.bound, r.passed) for r in gaps.rows]
-    write_csv(out_dir / "lemma_gap.csv", ["k", "gap", "bound", "passed"], zip(*gap_rows))
-
     # the sizes below n_max, then n_max itself, whose scan is the summary's
     scans = [
         resonance_check(table, size, a_threshold=min(cfg["lemmas.a_threshold"], size))
         for size in [s for s in (8, 16, 32, 64, 128) if s < n_max] + [n_max]
     ]
-    res_rows = [(rep.n_max, rep.a_threshold, rep.min_ratio) + rep.witness for rep in scans]
-    write_csv(
-        out_dir / "lemma_resonance.csv",
-        ["n_max", "a_threshold", "min_ratio", "k1", "k2", "k3"],
-        zip(*res_rows),
-    )
-
     mod = modulation_check(table, n_max, floor=min(cfg["lemmas.floor"], n_max))
-    write_csv(
-        out_dir / "lemma_modulation.csv",
-        ["n_max", "floor", "min_ratio", "k", "n"],
-        [[v] for v in (mod.n_max, mod.floor, mod.min_ratio) + mod.witness],
-    )
 
+    mult_rows = [
+        (c.representative, c.count, c.eigenvalue, "|".join(str(m) for m in c.members))
+        for c in mult.classes
+    ]
+    gap_rows = [(r.k, r.gap, r.bound, r.passed) for r in gaps.rows]
+    res_rows = [(rep.n_max, rep.a_threshold, rep.min_ratio) + rep.witness for rep in scans]
+    artifacts = {
+        "lemma_multiplicity.csv": (["representative", "count", "eigenvalue", "members"], zip(*mult_rows)),
+        "lemma_gap.csv": (["k", "gap", "bound", "passed"], zip(*gap_rows)),
+        "lemma_resonance.csv": (["n_max", "a_threshold", "min_ratio", "k1", "k2", "k3"], zip(*res_rows)),
+        "lemma_modulation.csv": (
+            ["n_max", "floor", "min_ratio", "k", "n"],
+            [[v] for v in (mod.n_max, mod.floor, mod.min_ratio) + mod.witness],
+        ),
+    }
     final = scans[-1]
-    return {
+    summary = {
         "max_multiplicity": mult.max_multiplicity,
         "simple_beyond": mult.simple_beyond,
         "gap_threshold": -1 if gaps.threshold is None else gaps.threshold,
@@ -519,6 +482,7 @@ def _run_lemmas(cfg: RunConfig, out_dir: Path) -> dict:
         "modulation_witness_k": mod.witness[0],
         "modulation_witness_n": mod.witness[1],
     }
+    return summary, artifacts
 
 
 _RUNNERS = {
@@ -540,7 +504,13 @@ def _make_out_dir(path: Path) -> Path:
 
 
 def run(cfg: RunConfig, out_dir=None) -> dict:
-    """Execute one experiment; returns the manifest dict.
+    """Execute one experiment, then write its artifacts and, last, its manifest; returns a result dict.
+
+    The runner only computes, and returns its summary and its artifacts (file
+    name -> a dict for JSON, or (header, columns) for `write_csv`). Every file
+    is written here, after the computation, with `manifest.json` last: a run
+    that fails in its computation writes nothing, and a manifest follows every
+    artifact. A file that cannot be written raises ConfigError.
 
     A floating-point overflow, invalid operation or division by zero raises
     FloatingPointError; code that overflows on purpose ignores it locally.
@@ -550,9 +520,28 @@ def run(cfg: RunConfig, out_dir=None) -> dict:
     out_dir = _make_out_dir(Path(out_dir))
     started = time.perf_counter()
     with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
-        summary = _RUNNERS[cfg.experiment](cfg, out_dir)
-    wall = time.perf_counter() - started
-    _write_manifest(out_dir, cfg, summary, wall)
+        summary, artifacts = _RUNNERS[cfg.experiment](cfg)
+    try:
+        for name, content in artifacts.items():
+            if name.endswith(".json"):
+                _write_json(out_dir / name, content)
+            else:
+                write_csv(out_dir / name, *content)
+        wall = time.perf_counter() - started
+        echo = cfg.echo()
+        manifest = {
+            "version": __version__,
+            "experiment": cfg.experiment,
+            "run_id": _short_hash(echo),
+            "config": echo,
+            "summary": summary,
+            "wall_time_s": wall,
+        }
+        tmp = out_dir / "manifest.json.tmp"
+        _write_json(tmp, manifest)
+        os.replace(tmp, out_dir / "manifest.json")
+    except OSError as exc:
+        raise ConfigError(f"cannot write into output directory '{out_dir}': {exc}") from exc
     return {"experiment": cfg.experiment, "summary": summary, "out": str(out_dir)}
 
 

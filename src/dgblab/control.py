@@ -416,13 +416,25 @@ def nonlinear_control_global(problem: ControlProblem, dt: float = 1e-3) -> Contr
 
 @dataclass(frozen=True, eq=False)
 class ObservabilityReport:
-    """Observability constant of `loop` over the horizon, with its worst mode."""
+    """Observability constant of `loop` over the horizon, with its worst mode
+    and the two decay-rate estimates it gives."""
 
     c_obs: float
     rho: float
     worst_mode: SpectralField
     horizon: float
     loop: LinearClosedLoop
+
+    @property
+    def gamma_gramian(self) -> float:
+        """The per-horizon contraction rho = 1 - 2/c_obs as a rate -log(rho)/(2T);
+        it never exceeds `gamma_abscissa` (it is the conservative bound)."""
+        return float(-np.log(self.rho) / (2 * self.horizon))
+
+    @property
+    def gamma_abscissa(self) -> float:
+        """The closed loop's decay rate: its spectral abscissa, negated."""
+        return float(-self.loop.spectral_abscissa)
 
 
 def observability_constant(
@@ -438,7 +450,7 @@ def observability_constant(
     read as its real form `real_damping`.  Built in that real form, so the
     minimizing state is a real field by construction.  O comes in closed form
     (`_observability_gramian`) from the loop's cached eigenbasis, which the
-    abscissa of `decay_rate_predict` also reads; the tests hold it against
+    report's `gamma_abscissa` also reads; the tests hold it against
     the Pade block exponential of `_propagated_gramian`.
     """
     loop = build_closed_loop(table, profile, n_modes)
@@ -458,30 +470,4 @@ def observability_constant(
         worst_mode=worst,
         horizon=horizon,
         loop=loop,
-    )
-
-
-@dataclass(frozen=True)
-class RatePrediction:
-    gamma_gramian: float
-    gamma_abscissa: float
-    report: ObservabilityReport
-
-
-def decay_rate_predict(
-    table: SymbolTable, profile: DampingProfile, horizon: float, n_modes: int
-) -> RatePrediction:
-    """Two decay-rate estimates: observability route and spectral abscissa.
-
-    The Gramian route converts the per-horizon contraction factor
-    rho = 1 - 2/c_obs into a rate -log(rho)/(2T); it never exceeds the
-    abscissa rate (it is the conservative bound).  Both come from the one
-    closed loop of the returned observability report.
-    """
-    report = observability_constant(table, profile, horizon, n_modes)
-    gamma_gram = -np.log(report.rho) / (2.0 * horizon)
-    return RatePrediction(
-        gamma_gramian=float(gamma_gram),
-        gamma_abscissa=float(-report.loop.spectral_abscissa),
-        report=report,
     )

@@ -340,7 +340,8 @@ class TestMainEntry:
         ],
     )
     def test_exit_three_on_numerical_failure(self, tmp_path, capsys, experiment, overrides, says):
-        args = [experiment, "--out", str(tmp_path / "num")]
+        out = tmp_path / "num"
+        args = [experiment, "--out", str(out)]
         for item in overrides:
             args += ["--override", item]
         assert main(args) == 3
@@ -348,6 +349,8 @@ class TestMainEntry:
         assert "numerical failure" in err
         assert says in err
         assert "Traceback" not in err
+        # every file is written after the computation, so a failed run leaves none
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "experiment, overrides, says",
@@ -379,9 +382,9 @@ class TestMainEntry:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_floating_point_fault_exits_three(self, tmp_path, capsys, monkeypatch):
-        def faulty(cfg, out_dir):
+        def faulty(cfg):
             assert np.float64(1e-300) * 1e-300 == 0.0  # underflow stays quiet
-            return {"overflow": float(np.float64(1e300) * 1e300)}
+            return {"overflow": float(np.float64(1e300) * 1e300)}, {}
 
         monkeypatch.setitem(dgblab.cli._RUNNERS, "lemmas", faulty)
         assert main(["lemmas", "--out", str(tmp_path / "fpe")]) == 3
@@ -401,6 +404,21 @@ class TestMainEntry:
                 assert "config error" in err
                 assert "Traceback" not in err
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "experiment, taken",
+        [("observability", "profile.json"), ("lemmas", "manifest.json.tmp")],
+        ids=["artifact", "manifest"],
+    )
+    def test_exit_two_on_unwritable_artifact(self, tmp_path, capsys, experiment, taken):
+        # a directory in the place of a file the run writes
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        assert main([experiment, "--override", "grid.n=8", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write" in err
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
 
     def test_control_linear_bump_stays_real(self, tmp_path, capsys):
         # at n=24 the complex-form control carried rounding asymmetry past the real-field tolerance

@@ -15,7 +15,6 @@ from dgblab.control import (
     _observability_gramian,
     _propagated_gramian,
     biorthogonal_family,
-    decay_rate_predict,
     gram_matrix,
     linear_control_global_modal,
     linear_control_gramian,
@@ -510,22 +509,21 @@ class TestObservability:
 
 class TestRatePrediction:
     def test_global_profile_rates(self, table, global_profile):
-        pred = decay_rate_predict(table, global_profile, 1.0, 16)
-        assert pred.gamma_abscissa == pytest.approx(1.0 / FOUR_PI_SQ)
-        assert pred.gamma_gramian == pytest.approx(1.0 / FOUR_PI_SQ, rel=1e-8)
+        rep = observability_constant(table, global_profile, 1.0, 16)
+        assert rep.gamma_abscissa == pytest.approx(1.0 / FOUR_PI_SQ)
+        assert rep.gamma_gramian == pytest.approx(1.0 / FOUR_PI_SQ, rel=1e-8)
 
     def test_diagonal_case_rates_coincide(self, table, global_profile):
         # modewise loop: the slowest mode fixes both routes, so they agree at any horizon
         for horizon in (0.5, 2.0, 4.0):
-            pred = decay_rate_predict(table, global_profile, horizon, 16)
-            assert pred.gamma_gramian == pytest.approx(pred.gamma_abscissa, rel=1e-8)
+            rep = observability_constant(table, global_profile, horizon, 16)
+            assert rep.gamma_gramian == pytest.approx(rep.gamma_abscissa, rel=1e-8)
 
     def test_prediction_carries_its_observability_report(self, table, bump):
-        pred = decay_rate_predict(table, bump, 1.0, 16)
-        assert pred.report.c_obs == observability_constant(table, bump, 1.0, 16).c_obs
-        assert pred.gamma_abscissa == -pred.report.loop.spectral_abscissa
+        rep = observability_constant(table, bump, 1.0, 16)
+        assert rep.gamma_abscissa == -rep.loop.spectral_abscissa
 
     def test_gramian_route_conservative(self, table, bump, global_profile):
         for profile in (bump, global_profile):
-            pred = decay_rate_predict(table, profile, 1.0, 16)
-            assert pred.gamma_gramian <= pred.gamma_abscissa + 1e-10
+            rep = observability_constant(table, profile, 1.0, 16)
+            assert rep.gamma_gramian <= rep.gamma_abscissa + 1e-10
