@@ -7,7 +7,8 @@ its experiment-specific CSV/JSON artifacts, and `run` alone writes them, with
 17-significant-digit floats, so reruns with the same config and seed are
 byte-identical.  ``manifest.json``, with the config echo and the summary, is
 written last, so a run that fails writes no manifest, and one that fails in
-its computation writes no file.
+its computation writes no file; an earlier run's manifest in the directory is
+removed first, and a failed write removes what the run wrote before it.
 
 Exit codes: 0 success, 2 validation failure or an unwritable output file,
 3 numerical failure.
@@ -16,6 +17,7 @@ Exit codes: 0 success, 2 validation failure or an unwritable output file,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -495,6 +497,10 @@ _RUNNERS = {
 }
 
 
+def _unwritable(out_dir: Path, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write into output directory '{out_dir}': {exc}")
+
+
 def _make_out_dir(path: Path) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -506,11 +512,14 @@ def _make_out_dir(path: Path) -> Path:
 def run(cfg: RunConfig, out_dir=None) -> dict:
     """Execute one experiment, then write its artifacts and, last, its manifest; returns a result dict.
 
-    The runner only computes, and returns its summary and its artifacts (file
+    An earlier run's `manifest.json` in the directory is removed before the
+    computation, so a manifest there always belongs to the last run. The
+    runner only computes, and returns its summary and its artifacts (file
     name -> a dict for JSON, or (header, columns) for `write_csv`). Every file
     is written here, after the computation, with `manifest.json` last: a run
     that fails in its computation writes nothing, and a manifest follows every
-    artifact. A file that cannot be written raises ConfigError.
+    artifact. A file that cannot be written raises ConfigError, once the
+    files this run wrote before it are removed.
 
     A floating-point overflow, invalid operation or division by zero raises
     FloatingPointError; code that overflows on purpose ignores it locally.
@@ -518,15 +527,22 @@ def run(cfg: RunConfig, out_dir=None) -> dict:
     if out_dir is None:
         out_dir = cfg["out"] or f"runs/{cfg.experiment}"
     out_dir = _make_out_dir(Path(out_dir))
+    try:
+        (out_dir / "manifest.json").unlink(missing_ok=True)
+    except OSError as exc:
+        raise _unwritable(out_dir, exc) from exc
     started = time.perf_counter()
     with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
         summary, artifacts = _RUNNERS[cfg.experiment](cfg)
+    written = []
     try:
         for name, content in artifacts.items():
+            path = out_dir / name
             if name.endswith(".json"):
-                _write_json(out_dir / name, content)
+                _write_json(path, content)
             else:
-                write_csv(out_dir / name, *content)
+                write_csv(path, *content)
+            written.append(path)
         wall = time.perf_counter() - started
         echo = cfg.echo()
         manifest = {
@@ -539,9 +555,13 @@ def run(cfg: RunConfig, out_dir=None) -> dict:
         }
         tmp = out_dir / "manifest.json.tmp"
         _write_json(tmp, manifest)
+        written.append(tmp)
         os.replace(tmp, out_dir / "manifest.json")
     except OSError as exc:
-        raise ConfigError(f"cannot write into output directory '{out_dir}': {exc}") from exc
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise _unwritable(out_dir, exc) from exc
     return {"experiment": cfg.experiment, "summary": summary, "out": str(out_dir)}
 
 

@@ -11,7 +11,7 @@ the same closed form from the same cached eigenbasis.
 The nonlinear steering for the constant gain rides on an exactly controlled
 linear trajectory whose transport term is re-injected through the gain, and
 is certified by re-simulating the forced nonlinear system.  That forcing is
-evaluated on the half spectrum k = 0..N the integrator steps, with the
+evaluated on stacked half spectra k = 0..N, one row per time, with the
 integrator's own transport kernel (`spectral.transport`), so no field object
 is built per stage, nor per sample of a returned control (`ControlSolution`).
 Norms go through `spectral.norm_sq` and real coordinates through `dynamics`.
@@ -238,7 +238,7 @@ def _observability_gramian(eigenbasis, q, horizon):
 
 # time samples of a synthesized linear control on [0, T]
 _CONTROL_SAMPLES = 129
-# time samples of the nonlinear control on [0, T], each one evaluation of its forcing
+# time samples of the nonlinear control on [0, T], rows of one evaluation of its forcing
 _NONLINEAR_CONTROL_SAMPLES = 65
 
 
@@ -370,7 +370,9 @@ def nonlinear_control_global(problem: ControlProblem, dt: float = 1e-3) -> Contr
     very trajectory back through the gain (as 2 pi d/dx u^2) makes u solve
     the forced nonlinear equation too, so the steering is exact up to
     discretization.  Certified by re-simulating the nonlinear system, with
-    the forcing a pure function of t, as the integrator requires.
+    the forcing a pure function of t, as `simulate` requires, evaluated on
+    arrays of times: a block of stage times per call, and the control's
+    samples in one call.
     """
     p = problem
     if p.profile is not None and p.profile.k_modes != 0:
@@ -389,12 +391,13 @@ def nonlinear_control_global(problem: ControlProblem, dt: float = 1e-3) -> Contr
     drift = (np.exp(-1j * lam * big_t) * u1 - u0) / big_t
     drift[0] = 0.0
 
-    def forcing(t: float) -> np.ndarray:
-        """g h1 + d/dx u^2 on the coefficients k = 0..N, with g = 1/(2 pi).
+    def forcing(times: np.ndarray) -> np.ndarray:
+        """g h1 + d/dx u^2 on the coefficients k = 0..N, one row per time, with g = 1/(2 pi).
 
         The modal Gramian of the undamped pair is T/(2 pi)^2, so the control
         h1 = B^* e^{(T-t)A^*} xi is 2 pi e^{i lam t} drift.
         """
+        t = times[:, None]
         phase = np.exp(1j * lam * t)
         return phase * drift + transport(phase * (u0 + t * drift))
 
@@ -403,7 +406,7 @@ def nonlinear_control_global(problem: ControlProblem, dt: float = 1e-3) -> Contr
 
     # the control h = h1 + 2 pi d/dx u^2 is the forcing divided by the gain
     times = np.linspace(0.0, big_t, _NONLINEAR_CONTROL_SAMPLES)
-    samples = np.stack([TWO_PI * forcing(t) for t in times])
+    samples = TWO_PI * forcing(times)
     return ControlSolution(
         times=times,
         samples=samples,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from itertools import repeat
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .spectral import (
     norm_sq,
     project_mean_zero,
     transport,
+    transport_workspace,
 )
 from .symbols import ModelParams, SymbolTable, build_symbols
 
@@ -317,15 +319,18 @@ def _real_form(a: np.ndarray, n_modes: int) -> np.ndarray:
     return out.reshape(2 * n, 2 * n)
 
 
-def _diagonal_matvec(scratch: np.ndarray, weights: tuple, x: tuple, out: tuple):
+def _diagonal_matvec(scratch: np.ndarray, weights: np.ndarray, x: np.ndarray, out: np.ndarray):
     """The diagonal counterpart of `np.matmul` on the stacked stage inputs.
 
-    Writes w_1 x[0] + ... + w_j x[j - 1], summed in that order, into out[0];
-    `scratch` holds each further product.  `x` and `out` are tuples of rows.
+    Writes w_1 x_1 + ... + w_j x_j into the row `out`: one multiply of the
+    j stacked weight rows by the j rows of `x` into `scratch`, then one sum
+    over that axis, which numpy adds row after row, in that order.  A single
+    weight row multiplies straight into `out`.
     """
-    acc = np.multiply(weights[0], x[0], out[0])
-    for w, v in zip(weights[1:], x[1:]):
-        acc += np.multiply(w, v, scratch)
+    if len(weights) == 1:
+        np.multiply(weights, x, out)
+    else:
+        np.add.reduce(np.multiply(weights, x, scratch[: len(weights)]), axis=0, out=out, keepdims=True)
 
 
 class Etdrk4Integrator:
@@ -341,13 +346,11 @@ class Etdrk4Integrator:
     and the weights that act together are stored side by side: the c-stage
     is one product of [e_half | q] (S x 2S) and the final combination one
     product of [e_full | f1 | f2 | f3] (S x 4S), so a step makes five
-    matrix-vector products.  Explicit part: the dealiased transport term
-    (`spectral.transport`) and optional forcing, a callable of t returning
-    the coefficients k = 0..N that are added to the right-hand side.  The
-    forcing must be a pure function of t: the integrator evaluates it once
-    per distinct stage time (the two midpoint stages share one value, and a
-    step ending at the next step's start time hands its last value on), and
-    it does not mutate the returned array.
+    matrix-vector products; the diagonal weights that act together are
+    stacked rows, applied in one multiply and one sum.  Explicit part: the
+    dealiased transport term (`spectral.transport`, into a workspace the
+    integrator owns) and an optional forcing, whose coefficients k = 0..N at
+    the three stage times the caller hands to `step` (see `simulate`).
 
     `step` maps a half spectrum (the coefficients k = 0..N; the negative
     modes are their conjugates, so every state is a real field) to the next,
@@ -369,7 +372,6 @@ class Etdrk4Integrator:
         profile: DampingProfile | None,
         n_modes: int,
         dt: float,
-        forcing=None,
     ):
         if not 0 < dt < np.inf:
             raise ValueError("dt must be positive and finite")
@@ -377,9 +379,6 @@ class Etdrk4Integrator:
             raise ValueError("n_modes exceeds the symbol table band")
         self.n_modes = n_modes
         self.dt = dt
-        self.forcing = forcing
-        # the last forcing evaluation, keyed by its exact stage time
-        self._forced_t = self._forced = None
         ks = np.arange(n_modes + 1)
 
         if profile is not None and profile.k_modes > 0:
@@ -417,14 +416,14 @@ class Etdrk4Integrator:
             e_full, e_half = np.exp(z), np.exp(z / 2.0)
             q, f1, f2, f3 = [dt * w for w in _etdrk4_weights(z)]
             self.spectral_abscissa = float(-d[1:].min(initial=np.inf))
-            self._stage_c = (e_half, q)
-            self._final = (e_full, f1, f2, f3)
-            self._e_half, self._q = (e_half,), (q,)
-            self._apply = partial(_diagonal_matvec, np.empty(ks.size, dtype=np.complex128))
+            self._stage_c = np.stack([e_half, q])
+            self._final = np.stack([e_full, f1, f2, f3])
+            self._e_half, self._q = self._stage_c[:1], self._stage_c[1:]
+            self._apply = partial(_diagonal_matvec, np.empty((4, ks.size), dtype=np.complex128))
 
             def operand(buf):
                 # the weights act on the rows of a stacked buffer
-                return tuple(buf.reshape(-1, ks.size))
+                return buf.reshape(-1, ks.size)
 
         # the step's workspace: complex rows, and the operands the weights
         # read from and write to, views taken once
@@ -437,49 +436,78 @@ class Etdrk4Integrator:
         self._operands = tuple(operand(x) for x in (u, nv, na, stage_in, final_in, eu, tmp, c, out))
         self._result = out.view()
         self._result.setflags(write=False)
+        self._work = transport_workspace(n_modes)
 
-    def nonlinearity(self, u: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
-        """Explicit term on the coefficients k = 0..N, written into `out`; its mean entry is zero."""
-        out = transport(u, out)
-        np.negative(out, out)
-        if self.forcing is not None:
-            if t != self._forced_t:
-                self._forced, self._forced_t = self.forcing(t), t
-            out += self._forced
+    def nonlinearity(self, u: np.ndarray, forced: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+        """Explicit term on the coefficients k = 0..N, written into `out`; its mean entry is zero.
+
+        It is the forcing row `forced` (None for no forcing) minus the transport of u.
+        """
+        transport(u, out, self._work)
+        if forced is None:
+            np.negative(out, out)
+        else:
+            np.subtract(forced, out, out)
         out[0] = 0.0
         return out
 
-    def step(self, half: np.ndarray, t: float, t_end: float | None = None) -> np.ndarray:
-        """Advance the half spectrum from t to t_end (default t + dt).
+    def step(self, half: np.ndarray, forced=None) -> np.ndarray:
+        """Advance the half spectrum by dt.
 
-        The stage times are t, t + dt/2, t_end.  `half` is left unchanged; the
-        result is a read-only view of the integrator's buffer, overwritten by
-        the next step, which may be passed that view back.
+        `forced` is None, or three rows: the forcing's coefficients k = 0..N
+        at the stage times t, t + dt/2 and t + dt.  `half` is left unchanged;
+        the result is a read-only view of the integrator's buffer, overwritten
+        by the next step, which may be passed that view back.
         """
         lin = self._apply
         nonlin = self.nonlinearity
         u, nv, nab, nc, a, w, eu, tmp, b, na, nb, c = self._rows
         x_u, x_nv, x_na, x_stage, x_final, x_eu, x_tmp, x_c, x_out = self._operands
-        t_mid = t + self.dt / 2.0
-        if t_end is None:
-            t_end = t + self.dt
+        f_start, f_mid, f_end = _UNFORCED if forced is None else forced
         np.copyto(u, half)
-        nonlin(u, t, nv)
+        nonlin(u, f_start, nv)
         lin(self._e_half, x_u, x_eu)
         lin(self._q, x_nv, x_tmp)
         np.add(eu, tmp, a)
-        nonlin(a, t_mid, na)
+        nonlin(a, f_mid, na)
         lin(self._q, x_na, x_tmp)
         np.add(eu, tmp, b)
-        nonlin(b, t_mid, nb)
+        nonlin(b, f_mid, nb)
         np.multiply(2.0, nb, w)
         np.subtract(w, nv, w)
         lin(self._stage_c, x_stage, x_c)
-        nonlin(c, t_end, nc)
+        nonlin(c, f_end, nc)
         np.add(na, nb, nab)
         np.multiply(2.0, nab, nab)
         lin(self._final, x_final, x_out)
         return self._result
+
+
+# the stage forcing rows of an unforced step
+_UNFORCED = (None, None, None)
+# steps whose stage forcing one evaluation tabulates: 2 * 16 + 1 rows
+_FORCING_BLOCK = 16
+
+
+def _stage_forcing(forcing, n_steps: int, dt: float):
+    """Each step's forcing rows at its stage times i dt, i dt + dt/2 and (i + 1) dt.
+
+    One call of `forcing` tabulates a block of `_FORCING_BLOCK` steps at
+    their distinct stage times; a block's last row is the next block's first,
+    so a run evaluates 2 n_steps + 1 times.
+    """
+    rows = None
+    for first in range(0, n_steps, _FORCING_BLOCK):
+        starts = np.arange(first, min(first + _FORCING_BLOCK, n_steps) + 1) * dt
+        times = np.empty(2 * starts.size - 1)
+        times[0::2] = starts
+        times[1::2] = starts[:-1] + dt / 2.0
+        if rows is None:
+            rows = forcing(times)
+        else:
+            rows = np.concatenate([rows[-1:], forcing(times[1:])])
+        for j in range(starts.size - 1):
+            yield rows[2 * j : 2 * j + 3]
 
 
 def simulate(
@@ -498,21 +526,32 @@ def simulate(
     state are kept, so memory does not grow with the run.  Divergence raises,
     carrying the last valid time.  `run_meta` records the effective dt, the
     step count and the spectral abscissa of the generator that was stepped.
-    `forcing` is `Etdrk4Integrator`'s, evaluated 2 n_steps + 1 times.
+
+    `forcing`, when given, maps an array of times to one row per time of the
+    coefficients k = 0..N added to the right-hand side; it must be a pure
+    function of t, and its rows are not mutated.  It is evaluated once per
+    distinct stage time, 2 n_steps + 1 times in all, a block of steps per
+    call (`_stage_forcing`).
     """
     n_steps, dt_eff = _time_grid(t_final, dt)
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     n = v0.n_modes
-    stepper = Etdrk4Integrator(table, profile, n, dt_eff, forcing)
+    stepper = Etdrk4Integrator(table, profile, n, dt_eff)
     # the stencil needs uniform sampling; a trailing partial interval disables it
     with_residual = (
         profile is not None and n_steps % record_every == 0 and n_steps >= 4 * record_every
     )
 
-    # floored at an absolute scale, so that a forced run from rest does not
-    # count its first step as a blow-up
-    blow_limit = 1e12 * max(norm_sq(v0.half), TWO_PI)
+    # a step blows up when its squared norm exceeds 1e12 times the initial
+    # one, floored at an absolute scale so that a forced run from rest does not
+    # count its first step as a blow-up.  Each step sums the squares of its
+    # (Re, Im) floats, norm_sq / (4 pi) + mean^2 / 2 as the mean is held
+    # exactly, against the limit in those units; numpy sums them rather than
+    # BLAS, whose idle threads would wake and raise the peak memory of a run
+    # that makes no other BLAS call
+    blow_limit = 1e12 * max(norm_sq(v0.half), TWO_PI) / (2.0 * TWO_PI) + mean(v0) ** 2 / 2.0
+    squares = np.empty(2 * (n + 1))
     # norm weights that drop the mean k = 0
     fluctuation = np.arange(n + 1) > 0
 
@@ -527,18 +566,15 @@ def simulate(
 
     record(0.0, v0)
     half = v0.half
-    t = 0.0
-    for i in range(n_steps):
-        # the step ends at the time recorded and passed on as the next start, so
-        # its last forcing evaluation is the next step's first
-        t_next = (i + 1) * dt_eff
-        half = stepper.step(half, t, t_next)
-        t = t_next
-        # summed by numpy rather than BLAS, whose idle threads would wake and
-        # raise the peak memory of a run that makes no other BLAS call
-        ssq = norm_sq(half)
-        if not np.isfinite(ssq) or ssq > blow_limit:
-            raise BlowUpError(f"blow-up detected at t = {t:.6g}", last_valid_time=times[-1])
+    stages = repeat(None, n_steps) if forcing is None else _stage_forcing(forcing, n_steps, dt_eff)
+    for i, forced in enumerate(stages):
+        half = stepper.step(half, forced)
+        t = (i + 1) * dt_eff
+        if not np.add.reduce(np.square(half.view(np.float64), squares)) <= blow_limit:
+            raise BlowUpError(
+                f"blow-up detected at t = {t:.6g} with dt = {dt_eff:.6g}; a smaller step is the remedy",
+                last_valid_time=times[-1],
+            )
         if (i + 1) % record_every == 0 or i + 1 == n_steps:
             # the field copies the step's buffer, which the next step overwrites
             final = SpectralField(n, half)

@@ -8,7 +8,7 @@ construction.  The full band -N..N (`coeffs`) is derived from it by
 `SpectralField.from_coeffs`, which checks its Hermitian symmetry.  The
 integrator and the reference propagators work on the half spectrum, and
 `transport`, the package's one pair of grid transforms, is the kernel on
-it.  Norms use the weighted convention
+it, or on stacked rows of it.  Norms use the weighted convention
 
     norm(v, s)^2 = 2*pi * sum_k (1 + |k|)^{2s} |vhat(k)|^2,
 
@@ -141,28 +141,38 @@ def _transport_grid(n: int) -> tuple:
     return m, ik
 
 
-def transport(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def transport_workspace(n_modes: int, rows: tuple = ()) -> tuple:
+    """The grid and square buffers of `transport` on half spectra of shape rows + (N+1,)."""
+    m, _ = _transport_grid(n_modes)
+    return np.empty((*rows, m)), np.empty((*rows, m // 2 + 1), np.complex128)
+
+
+def transport(half: np.ndarray, out: np.ndarray | None = None, work: tuple | None = None) -> np.ndarray:
     """Dealiased quadratic transport d/dx of v^2 on the half spectrum k = 0..N.
 
     The square is formed pointwise on a grid with M >= 3N+1 points, which
     makes the retained coefficients k <= N alias-free, then truncated and
-    differentiated.  The k = 0 output vanishes identically.
+    differentiated.  The k = 0 output vanishes identically.  Half spectra
+    lie along the last axis, so stacked rows are transported row by row.
 
-    The result is written into `out` (N+1 complex coefficients) when given,
-    else into a new array, and returned.
+    The result is written into `out` (the shape of `half`) when given, else
+    into a new array, and returned; `work` is a caller-owned
+    `transport_workspace` of the same rows, else one is allocated per call.
     The transforms are numpy's pocketfft gufuncs, the kernels `np.fft.irfft`
     and `np.fft.rfft` wrap, called without the wrappers' argument handling
-    (hence numpy >= 2.0, < 3).  The grid scratch is allocated per call, so
-    concurrent calls with distinct `out` share nothing.
+    (hence numpy >= 2.0, < 3).  Concurrent calls with distinct `out` and
+    `work` share nothing.
     """
-    n = half.size - 1
+    n = half.shape[-1] - 1
     m, ik = _transport_grid(n)
+    grid, square = transport_workspace(n, half.shape[:-1]) if work is None else work
     # both transforms are unscaled: the inverse gives the grid values v(x_j)
     # and the forward M times the square's coefficients, so the multiplier
     # i k / M carries the one scaling
-    vals = _pocketfft_umath.irfft(half, 1.0, out=np.empty(m))
-    square = _pocketfft_umath.rfft_n_even(vals * vals, 1.0, out=np.empty(m // 2 + 1, np.complex128))
-    return np.multiply(ik, square[: n + 1], out)
+    _pocketfft_umath.irfft(half, 1.0, out=grid)
+    np.multiply(grid, grid, grid)
+    _pocketfft_umath.rfft_n_even(grid, 1.0, out=square)
+    return np.multiply(ik, square[..., : n + 1], out)
 
 
 def pairing(u: np.ndarray, v: np.ndarray, weights=1.0) -> np.ndarray:

@@ -414,11 +414,25 @@ class TestMainEntry:
         # a directory in the place of a file the run writes
         out = tmp_path / "out"
         (out / taken).mkdir(parents=True)
+        (out / "notes.txt").write_text("not this run's\n")
         assert main([experiment, "--override", "grid.n=8", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "cannot write" in err
         assert "Traceback" not in err
         assert not (out / "manifest.json").exists()
+        # the artifacts written before the failed write are removed; what the
+        # run did not write stays
+        assert sorted(p.name for p in out.iterdir()) == sorted([taken, "notes.txt"])
+
+    def test_failed_run_removes_an_earlier_manifest(self, tmp_path, capsys):
+        # a manifest left by an earlier run would read as the failed run's success
+        out = str(tmp_path / "o")
+        assert main(["lemmas", "--override", "grid.n=8", "--out", out]) == 0
+        assert (tmp_path / "o" / "manifest.json").exists()
+        failing = ["lemmas", "--override", "params.beta=1e300", "--override", "grid.n=8", "--out", out]
+        assert main(failing) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_control_linear_bump_stays_real(self, tmp_path, capsys):
         # at n=24 the complex-form control carried rounding asymmetry past the real-field tolerance

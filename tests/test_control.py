@@ -446,22 +446,19 @@ class TestNonlinearControl:
     def test_forcing_evaluated_once_per_distinct_stage_time(self, global_profile, monkeypatch):
         # stages 2 and 3 share t + dt/2 and a step's end is the next one's start;
         # at dt = 2.5e-4 the float t + dt misses (i + 1) dt in about a quarter of the steps
-        from dgblab.dynamics import Etdrk4Integrator
+        import dgblab.control as control
 
         stage_times = []
-        init = Etdrk4Integrator.__init__
+        run = control.simulate
 
-        def counting_init(integrator, *args, **kwargs):
-            init(integrator, *args, **kwargs)
-            forcing = integrator.forcing
+        def counting_simulate(*args, forcing, **kwargs):
+            def counted(times):
+                stage_times.extend(times.tolist())
+                return forcing(times)
 
-            def counted(t):
-                stage_times.append(t)
-                return forcing(t)
+            return run(*args, forcing=counted, **kwargs)
 
-            integrator.forcing = counted
-
-        monkeypatch.setattr(Etdrk4Integrator, "__init__", counting_init)
+        monkeypatch.setattr(control, "simulate", counting_simulate)
         prob = ControlProblem(
             BENJAMIN, global_profile, 32, 1.0, cosine_field(32, 1, 0.05), cosine_field(32, 2, 0.05)
         )

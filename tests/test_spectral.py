@@ -22,6 +22,7 @@ from dgblab.spectral import (
     random_field,
     sobolev_norm,
     transport,
+    transport_workspace,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -191,6 +192,23 @@ class TestNonlinearTerm:
         assert not any(t.is_alive() for t in threads)
         for i in range(2):
             assert all(np.array_equal(g, e) for g, e in zip(got[i], expected[i::2] * 20))
+
+    def test_stacked_rows_match_single_rows(self):
+        # rows stacked along the leading axes are transported one by one, bit
+        # for bit, also into a caller's workspace reused across calls
+        rng = np.random.default_rng(29)
+        for n in (5, 21, 128):
+            halves = np.array(
+                [[random_field(n, rng, decay=0.5, mean_zero=False).half for _ in range(3)] for _ in range(2)]
+            )
+            expected = np.array([[transport(h) for h in row] for row in halves])
+            assert np.array_equal(transport(halves), expected)
+            out = np.empty_like(halves)
+            work = transport_workspace(n, (2, 3))
+            for _ in range(2):
+                assert transport(halves, out, work) is out and np.array_equal(out, expected)
+            single = transport_workspace(n)
+            assert np.array_equal(transport(halves[1, 2], None, single), expected[1, 2])
 
     def test_mean_always_zero(self):
         rng = np.random.default_rng(7)
