@@ -4,10 +4,12 @@ Two steering routes are kept deliberately separate so each can certify the
 other: a minimum-norm Gramian construction on the damped closed loop, and
 per-mode closed forms available when the gain is constant.  The Gramian
 route runs in the closed loop's real form, so its controls are real fields
-with no projection; it is synthesized through a Pade block exponential
-(`dynamics._expm`, numpy only) and certified by a closed form of the
-controlled flow in the loop's eigenbasis.  The observability Gramian takes
-the same closed form from the same cached eigenbasis.
+with no projection; its Gramian, flow and control samples come in closed
+form from the loop's cached eigenbasis (`_gramian`), and its terminal error
+and the Gramian's Lyapunov identity are certified with the flow of the numpy
+Pade `expm` (`dynamics._expm`), which shares no factorization with that
+eigenbasis.  The observability
+Gramian is the same `_gramian`, on the transposed eigenbasis.
 The nonlinear steering for the constant gain rides on an exactly controlled
 linear trajectory whose transport term is re-injected through the gain, and
 is certified by re-simulating the forced nonlinear system.  That forcing is
@@ -179,61 +181,40 @@ def biorthogonal_family(
     return BiorthogonalFamily(modes, lam, horizon, coeffs, cond)
 
 
-def _propagated_gramian(a_mat, q, horizon):
-    """int_0^T e^{tA} Q e^{tA^H} dt through one block matrix exponential.
+def _gramian(eigenbasis, q, horizon):
+    """int_0^T e^{tA} Q e^{tA^T} dt for the real A = V diag(mu) V^{-1} and symmetric Q.
 
-    Exponentiating [[A, Q], [0, -A^H]] * T puts e^{TA} in the top-left
-    corner and int_0^T e^{(T-s)A} Q e^{-s A^H} ds in the top-right; a
-    final multiplication by e^{T A^H} (the adjoint of the top-left block)
-    yields the Gramian.  Exact up to expm accuracy, with no resolution limit
-    from the dispersive oscillation; the plain quadrature alternative needs
-    node counts proportional to |lam|_max * T.  Real A and Q stay real.
-    Returns the Gramian and the flow e^{TA}.  Serves the steering synthesis,
-    and the tests as an oracle for the eigenbasis Gramians: the numpy Pade
-    route (`dynamics._expm`) shares no factorization with them.
-    """
-    dim = a_mat.shape[0]
-    block = np.zeros((2 * dim, 2 * dim), dtype=np.result_type(a_mat, q))
-    block[:dim, :dim] = a_mat
-    block[:dim, dim:] = q
-    block[dim:, dim:] = -a_mat.conj().T
-    e_block = _expm(horizon * block)
-    flow = e_block[:dim, :dim]
-    gram = e_block[:dim, dim:] @ flow.conj().T
-    return 0.5 * (gram + gram.conj().T), flow
-
-
-def _certify_linear(eigenbasis, b_mat, xi, v0_state, horizon):
-    """Terminal state of the real controlled linear system, in closed form in A's eigenbasis.
-
-    With the real A = V diag(mu) V^{-1} and the control h(t) = B^T e^{(T-t)A^T} xi,
-
-        v(T) = V (e^{T mu} V^{-1} v0 + (Gamma o C C^T) V^T xi),   C = V^{-1} B,
-
-    where Gamma_ij = int_0^T e^{(mu_i + mu_j) s} ds (Van Loan, IEEE TAC 1978).
-    Independent of the synthesis, which goes through the numpy Pade `expm`
-    of `_propagated_gramian` (a rational function of the block and one
-    linear solve): this route is the loop's LAPACK eigenbasis and entrywise
-    exponentials.
-    """
-    mu, vecs, inv = eigenbasis
-    c = inv @ b_mat
-    gamma = _exp_integral(mu[:, None] + mu[None, :], horizon)
-    inner = np.exp(horizon * mu) * (inv @ v0_state) + (gamma * (c @ c.T)) @ (vecs.T @ xi)
-    return (vecs @ inner).real
-
-
-def _observability_gramian(eigenbasis, q, horizon):
-    """int_0^T e^{tA^T} Q e^{tA} dt for the real A = V diag(mu) V^{-1} and symmetric Q.
-
-    Equals V^{-T} (Gamma o V^T Q V) V^{-1} with Gamma as in `_certify_linear`
-    (Van Loan, IEEE TAC 1978); the real part is symmetrized.  `_eigenbasis`
+    Equals V (Gamma o V^{-1} Q V^{-T}) V^T with Gamma_ij = int_0^T
+    e^{(mu_i + mu_j) s} ds (Van Loan, IEEE TAC 1978); the real part is
+    symmetrized.  The transposed eigenbasis (mu, V^{-T}, V^T) of A^T gives
+    the observability Gramian int_0^T e^{tA^T} Q e^{tA} dt.  `_eigenbasis`
     caps a bound on cond(V), which bounds the rounding of this route.
     """
     mu, vecs, inv = eigenbasis
     gamma = _exp_integral(mu[:, None] + mu[None, :], horizon)
-    obs = (inv.T @ (gamma * (vecs.T @ q @ vecs)) @ inv).real
-    return 0.5 * (obs + obs.T)
+    gram = (vecs @ (gamma * (inv @ q @ inv.T)) @ vecs.T).real
+    return 0.5 * (gram + gram.T)
+
+
+def _certify_linear(a_mat, b_mat, gram, xi, v0_state, horizon):
+    """Terminal state F v0 + W xi of the real controlled linear system, and W's Lyapunov residual.
+
+    The control h(t) = B^T e^{(T-t)A^T} xi adds W xi to the free flow.  The
+    flow F = e^{TA} comes from the numpy Pade `expm` of the 2N x 2N generator,
+    a rational function of A and one linear solve, so it shares no
+    factorization with the synthesis, which builds W and applies e^{TA} in
+    the loop's LAPACK eigenbasis.  The terminal state checks the flow and the
+    solve for xi; W is checked by the identity A W + W A^T = F B B^T F^T -
+    B B^T, whose residual with this F is returned relative to
+    |B B^T| + |F B B^T F^T| (Frobenius), so that it follows the relative error
+    of W: 1e-3 to 1e-2 for W off by 1%, at every size.
+    """
+    flow = _expm(horizon * a_mat)
+    aw = a_mat @ gram
+    fb = flow @ b_mat
+    bbt, fbbf = b_mat @ b_mat.T, fb @ fb.T
+    residual = np.linalg.norm(aw + aw.T + bbt - fbbf) / (np.linalg.norm(bbt) + np.linalg.norm(fbbf))
+    return flow @ v0_state + gram @ xi, float(residual)
 
 
 # time samples of a synthesized linear control on [0, T]
@@ -247,10 +228,11 @@ def linear_control_gramian(problem: ControlProblem) -> ControlSolution:
 
     In the loop's real form, where A and B are real 2N x 2N matrices, solves
     W xi = v1 - e^{TA} v0 with W = int_0^T e^{tA} B B^T e^{tA^T} dt and applies
-    h(t) = B^T e^{(T-t)A^T} xi, sampled in the loop's eigenbasis: a real field
-    by construction, with no projection.  The terminal error is certified by
-    an eigenbasis closed form of the controlled flow (`_certify_linear`),
-    independent of the Pade-`expm` synthesis.
+    h(t) = B^T e^{(T-t)A^T} xi: W, the flow and the samples all come from
+    the loop's eigenbasis, so the control is a real field by construction,
+    with no projection.  The terminal error and the Lyapunov residual of W
+    (`info["gramian_residual"]`) are certified with the Pade-`expm` flow
+    (`_certify_linear`), independent of that eigenbasis.
     """
     if problem.profile is None:
         raise ValueError("linear control needs a gain profile")
@@ -260,7 +242,8 @@ def linear_control_gramian(problem: ControlProblem) -> ControlSolution:
     loop = build_closed_loop(table, p.profile, n)
     b_mat = _real_gain(p.profile, n)
 
-    gram, flow = _propagated_gramian(loop.real_generator, b_mat @ b_mat.T, p.horizon)
+    mu, vecs, inv = loop.eigenbasis
+    gram = _gramian(loop.eigenbasis, b_mat @ b_mat.T, p.horizon)
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 1e-15 * max(eigs[-1], 1e-300):
         deficient = _real_halves(np.linalg.eigh(gram)[1][:, 0])
@@ -271,18 +254,17 @@ def linear_control_gramian(problem: ControlProblem) -> ControlSolution:
 
     v0r = _real_coords(p.v0, n)
     v1r = _real_coords(p.v1, n)
-    defect = v1r - flow @ v0r
+    defect = v1r - (vecs @ (np.exp(p.horizon * mu) * (inv @ v0r))).real
     xi = np.linalg.solve(gram, defect)
     xi += np.linalg.solve(gram, defect - gram @ xi)
 
     times = np.linspace(0.0, p.horizon, _CONTROL_SAMPLES)
-    mu, vecs, inv = loop.eigenbasis
     # row i: e^{(T - t_i) A^T} xi = V^{-T} (e^{(T - t_i) mu} o V^T xi), then B^T;
     # the mean is not steered
     modal = np.exp(np.outer(p.horizon - times, mu)) * (vecs.T @ xi)
     samples = _real_halves((modal @ (inv @ b_mat)).real)
 
-    v_final = _certify_linear(loop.eigenbasis, b_mat, xi, v0r, p.horizon)
+    v_final, gramian_residual = _certify_linear(loop.real_generator, b_mat, gram, xi, v0r, p.horizon)
     # an overflow here leaves inf or nan, which ControlSolution rejects by name
     with np.errstate(over="ignore", invalid="ignore"):
         err = l2_norm(_real_field(v_final - v1r, n)) / max(l2_norm(p.v1), 1e-12)
@@ -298,6 +280,7 @@ def linear_control_gramian(problem: ControlProblem) -> ControlSolution:
             "gramian_min_eig": float(eigs[0]),
             "gramian_cond": float(eigs[-1] / eigs[0]),
             "defect_norm": defect_norm,
+            "gramian_residual": gramian_residual,
         },
     )
 
@@ -452,12 +435,13 @@ def observability_constant(
     (D^{delta/2} G)* (D^{delta/2} G) = G D^delta G is the loop's feedback,
     read as its real form `real_damping`.  Built in that real form, so the
     minimizing state is a real field by construction.  O comes in closed form
-    (`_observability_gramian`) from the loop's cached eigenbasis, which the
-    report's `gamma_abscissa` also reads; the tests hold it against
-    the Pade block exponential of `_propagated_gramian`.
+    (`_gramian` on the transposed eigenbasis) from the loop's cached
+    eigenbasis, which the report's `gamma_abscissa` also reads; the tests hold
+    it against a Pade block exponential.
     """
     loop = build_closed_loop(table, profile, n_modes)
-    eigvals, eigvecs = np.linalg.eigh(_observability_gramian(loop.eigenbasis, loop.real_damping, horizon))
+    mu, vecs, inv = loop.eigenbasis
+    eigvals, eigvecs = np.linalg.eigh(_gramian((mu, inv.T, vecs.T), loop.real_damping, horizon))
     lam_min = float(eigvals[0])
     if lam_min <= 0:
         raise ObservabilityFailureError(f"observability Gramian lost positivity: {lam_min:.3e}")

@@ -280,8 +280,9 @@ def test_criterion_10_linear_exact_control():
     elapsed = time.perf_counter() - started
     report(
         10,
-        sol_b.terminal_error <= 1e-6 and gap <= 1e-8 and elapsed < 120.0,
-        f"bump steering certified at {sol_b.terminal_error:.2e} <= 1e-6; "
+        sol_b.terminal_error <= 1e-6 and sol_b.info["gramian_residual"] <= 1e-6 and gap <= 1e-8 and elapsed < 120.0,
+        f"bump steering certified at {sol_b.terminal_error:.2e} <= 1e-6 "
+        f"(Gramian residual {sol_b.info['gramian_residual']:.2e} <= 1e-6); "
         f"global matrix-vs-modal gap {gap:.2e} <= 1e-8 in {elapsed:.1f}s",
     )
 

@@ -8,12 +8,13 @@ import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
 
+from dgblab import control, dynamics
+from dgblab.cli import main
 from dgblab.control import (
     ControlProblem,
     _certify_linear,
     _control_norm,
-    _observability_gramian,
-    _propagated_gramian,
+    _gramian,
     biorthogonal_family,
     gram_matrix,
     linear_control_global_modal,
@@ -25,6 +26,7 @@ from dgblab.damping import feedback_matrix, gain_matrix, make_profile_bump, make
 from dgblab.dynamics import (
     _MAX_EIGVEC_COND,
     _eigenbasis,
+    _expm,
     _real_coords,
     _real_field,
     _real_form,
@@ -55,6 +57,29 @@ def _galerkin(table, profile, n):
     """
     modes = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
     return modes, np.diag(1j * table.eig(modes)) - feedback_matrix(profile, modes)
+
+
+def _propagated_gramian(a_mat, q, horizon):
+    """int_0^T e^{tA} Q e^{tA^H} dt through one block matrix exponential: the Pade oracle.
+
+    Exponentiating [[A, Q], [0, -A^H]] * T puts e^{TA} in the top-left
+    corner and int_0^T e^{(T-s)A} Q e^{-s A^H} ds in the top-right; a
+    final multiplication by e^{T A^H} (the adjoint of the top-left block)
+    yields the Gramian.  Exact up to expm accuracy, with no resolution limit
+    from the dispersive oscillation; the plain quadrature alternative needs
+    node counts proportional to |lam|_max * T.  Real A and Q stay real.
+    Returns the Gramian and the flow e^{TA}.  The numpy Pade route
+    (`dynamics._expm`) shares no factorization with the eigenbasis Gramians.
+    """
+    dim = a_mat.shape[0]
+    block = np.zeros((2 * dim, 2 * dim), dtype=np.result_type(a_mat, q))
+    block[:dim, :dim] = a_mat
+    block[:dim, dim:] = q
+    block[dim:, dim:] = -a_mat.conj().T
+    e_block = _expm(horizon * block)
+    flow = e_block[:dim, :dim]
+    gram = e_block[:dim, dim:] @ flow.conj().T
+    return 0.5 * (gram + gram.conj().T), flow
 
 
 def gauss_nodes(horizon: float, n: int):
@@ -139,16 +164,21 @@ class TestBiorthogonal:
 
 class TestFlowGramian:
     def test_matches_quadrature_oracle(self, table, bump):
-        # moderate band so plain Gauss-Legendre resolves the oscillation
-        modes, a = _galerkin(table, bump, 6)
-        b = gain_matrix(bump, modes, modes)
-        fast, _ = _propagated_gramian(a, b @ b.conj().T, 1.0)
+        # moderate band so plain Gauss-Legendre resolves the oscillation; the
+        # steering's Gramian on the loop's real form, and the Pade oracle
+        n = 6
+        loop = build_closed_loop(table, bump, n)
+        a = loop.real_generator
+        b = _real_gain(bump, n)
         ts, ws = gauss_nodes(1.0, 768)
-        slow = np.zeros_like(fast)
+        slow = np.zeros_like(a)
         for t, w in zip(ts, ws):
             m = scipy.linalg.expm(t * a) @ b
-            slow += w * (m @ m.conj().T)
+            slow += w * (m @ m.T)
+        fast = _gramian(loop.eigenbasis, b @ b.T, 1.0)
+        oracle, _ = _propagated_gramian(a, b @ b.T, 1.0)
         assert np.abs(fast - slow).max() < 1e-12 * np.abs(slow).max()
+        assert np.abs(oracle - slow).max() < 1e-12 * np.abs(slow).max()
 
 
 class TestLinearControl:
@@ -182,6 +212,7 @@ class TestLinearControl:
         prob = ControlProblem(BENJAMIN, bump, 16, 1.0, v0, v1)
         sol = linear_control_gramian(prob)
         assert sol.terminal_error < 1e-6
+        assert sol.info["gramian_residual"] < 1e-6
         assert sol.info["gramian_min_eig"] > 0
 
     def test_cost_bound_finite(self, bump):
@@ -266,9 +297,46 @@ class TestCertificate:
         # adjoint data of the size a steering solve produces
         xi = 100.0 * _real_coords(random_field(n, rng, decay=1.5), n)
         v0 = _real_coords(random_field(n, rng, decay=1.5), n)
-        fast = _certify_linear(loop.eigenbasis, b, xi, v0, 1.0)
+        gram = _gramian(loop.eigenbasis, b @ b.T, 1.0)
+        fast, residual = _certify_linear(loop.real_generator, b, gram, xi, v0, 1.0)
         slow = _rk_terminal_state(loop.real_generator, b, xi, v0, 1.0)
         assert np.linalg.norm(fast - slow) <= 1e-8 * np.linalg.norm(slow)
+        assert residual < 1e-12
+
+    def test_corrupted_eigenbasis_detected(self, bump, monkeypatch):
+        # the certificate's flow does not come from the eigenbasis, so an
+        # eigenbasis error in the synthesis shows in the terminal error
+        n = 8
+        rng = np.random.default_rng(1)
+        prob = ControlProblem(BENJAMIN, bump, n, 1.0, random_field(n, rng, decay=1.5), random_field(n, rng, decay=1.5))
+        assert linear_control_gramian(prob).terminal_error < 1e-12
+        eigenbasis = dynamics._eigenbasis
+
+        def corrupted(mat):
+            mu, vecs, inv = eigenbasis(mat)
+            return mu * (1.0 + 1e-8), vecs, inv
+
+        monkeypatch.setattr(dynamics, "_eigenbasis", corrupted)
+        assert linear_control_gramian(prob).terminal_error >= 1e-9
+
+    def test_corrupted_gramian_trips_the_gate(self, bump, monkeypatch, tmp_path, capsys):
+        # every Gamma entry 1% off: the terminal state adds the synthesis's own
+        # W xi, so it cannot see the error, but the Lyapunov identity with the
+        # Pade flow reads it, and the CLI exits 3 with no artifact
+        n = 8
+        rng = np.random.default_rng(1)
+        prob = ControlProblem(BENJAMIN, bump, n, 1.0, random_field(n, rng, decay=1.5), random_field(n, rng, decay=1.5))
+        assert linear_control_gramian(prob).info["gramian_residual"] < 1e-12
+        exp_integral = control._exp_integral
+        monkeypatch.setattr(control, "_exp_integral", lambda z, horizon: 1.01 * exp_integral(z, horizon))
+        sol = linear_control_gramian(prob)
+        assert sol.terminal_error < 1e-12
+        assert sol.info["gramian_residual"] >= 1e-3
+        out = tmp_path / "corrupted"
+        args = ["control-linear", "--override", "profile.kind=bump", "--override", f"grid.n={n}", "--out", str(out)]
+        assert main(args) == 3
+        assert "Gramian residual" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_defective_generator_rejected(self):
         with pytest.raises(ProfileError):
@@ -339,9 +407,9 @@ class TestRealForm:
         v0, v1 = random_field(n, rng, decay=1.5), random_field(n, rng, decay=1.5)
         info = linear_control_gramian(ControlProblem(BENJAMIN, profile, n, 1.0, v0, v1)).info
         loop = build_closed_loop(build_symbols(BENJAMIN, n), profile, n)
-        b = _real_gain(profile, n)
-        _, flow = _propagated_gramian(loop.real_generator, b @ b.T, 1.0)
-        defect = _real_coords(v1, n) - flow @ _real_coords(v0, n)
+        # the synthesis applies the flow in the loop's eigenbasis
+        mu, vecs, inv = loop.eigenbasis
+        defect = _real_coords(v1, n) - (vecs @ (np.exp(1.0 * mu) * (inv @ _real_coords(v0, n)))).real
         assert info["defect_norm"] == l2_norm(_real_field(defect, n))
         assert info["defect_norm"] == pytest.approx(np.sqrt(4 * np.pi) * np.linalg.norm(defect), rel=1e-14)
 
@@ -373,7 +441,8 @@ class TestRealForm:
         q = _real_form(c.conj().T @ c, n)
         oracle, _ = _propagated_gramian(loop.real_generator.T, q, 1.0)
         # the observability weight is the loop's own real feedback
-        obs = _observability_gramian(loop.eigenbasis, loop.real_damping, 1.0)
+        mu, vecs, inv = loop.eigenbasis
+        obs = _gramian((mu, inv.T, vecs.T), loop.real_damping, 1.0)
         assert np.linalg.norm(obs - oracle) <= 1e-10 * np.linalg.norm(oracle)
         assert np.linalg.eigvalsh(obs)[0] == pytest.approx(np.linalg.eigvalsh(oracle)[0], rel=1e-10)
 
@@ -446,8 +515,6 @@ class TestNonlinearControl:
     def test_forcing_evaluated_once_per_distinct_stage_time(self, global_profile, monkeypatch):
         # stages 2 and 3 share t + dt/2 and a step's end is the next one's start;
         # at dt = 2.5e-4 the float t + dt misses (i + 1) dt in about a quarter of the steps
-        import dgblab.control as control
-
         stage_times = []
         run = control.simulate
 
