@@ -59,4 +59,4 @@ from .control import (
     observability_constant,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

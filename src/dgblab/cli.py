@@ -90,17 +90,16 @@ _KEYS = {
     "params.mu": (float, 0.0, _ALL, None),
     # the damping's order, and the lemmas' modulation weight <k>^delta
     "params.delta": (float, 1.0, _ALL, None),
-    "profile.kind": (str, "global", _ALL - {"lemmas"}, _one_of("global", "bump")),
+    "profile.kind": (str, "global", _PROFILED, _one_of("global", "bump")),
     "profile.a": (float, float(np.pi / 2), _PROFILED, None),
     "profile.b": (float, float(3 * np.pi / 2), _PROFILED, None),
-    "profile.modes": (int, 64, _PROFILED, None),
+    "profile.modes": (int, 64, _PROFILED, _at_least(1)),
     "grid.n": (int, 128, _ALL, _at_least(4)),
     "time.dt": (float, 1e-3, _DAMPED, _POSITIVE),
     "time.t_final": (float, 1.0, _ALL - {"lemmas"}, _POSITIVE),
     "init.kind": (str, "cosine", _DAMPED, _one_of("cosine", "random")),
     "init.mode": (int, 1, _DAMPED, _at_least(1)),
     "init.amplitude": (float, 0.1, _DAMPED, None),
-    "init.mean": (float, 0.0, _DAMPED, None),
     "init.decay": (float, 1.5, _DAMPED, None),
     "record.every": (int, 10, _DAMPED, _at_least(1)),
     "fit.t0": (float, None, {"stabilize"}, None),
@@ -153,19 +152,8 @@ class RunConfig:
             # the integrators round the step count time.t_final / dt
             if self.experiment in _KEYS[key][2] and not np.isfinite(self["time.t_final"] / self[key]):
                 raise ConfigError(f"time.t_final / {key} must be finite")
-        if self.experiment == "control-nonlinear" and self["profile.kind"] != "global":
-            raise ConfigError("control-nonlinear needs the constant gain: profile.kind = global")
-        # simulate and stabilize step the drift mu = init.mean, control-nonlinear mu = 0
-        drift = {"simulate": self["init.mean"], "stabilize": self["init.mean"], "control-nonlinear": 0.0}
-        mu = drift.get(self.experiment)
-        if mu is not None and self.raw.get("params.mu", mu) != mu:
-            raise ConfigError(
-                f"{self.experiment} steps the drift mu = {mu!r}; params.mu must equal it or be unset"
-            )
-        if self["profile.kind"] == "bump" and not (
-            0 <= self["profile.a"] < self["profile.b"] <= 2 * np.pi and self["profile.modes"] >= 1
-        ):
-            raise ConfigError("a bump needs 0 <= profile.a < profile.b <= 2 pi and profile.modes >= 1")
+        if self["profile.kind"] == "bump" and not 0 <= self["profile.a"] < self["profile.b"] <= 2 * np.pi:
+            raise ConfigError("a bump needs 0 <= profile.a < profile.b <= 2 pi")
         draws = [("control.amplitude", "control.decay")] if self.experiment == "control-linear" else []
         if self.experiment in _DAMPED and self["init.kind"] == "random":
             draws.append(("init.amplitude", "init.decay"))
@@ -290,7 +278,7 @@ def _build_initial(cfg: RunConfig, rng: np.random.Generator) -> SpectralField:
         u = cosine_field(n, cfg["init.mode"], cfg["init.amplitude"])
     else:
         u = random_field(n, rng, amplitude=cfg["init.amplitude"], decay=cfg["init.decay"])
-    return u + constant_field(n, cfg["init.mean"])
+    return u + constant_field(n, cfg.params.mu)
 
 
 def _profile_artifacts(profile: DampingProfile, n: int) -> dict:
@@ -377,7 +365,6 @@ def _run_stabilize(cfg: RunConfig) -> tuple:
     except ValueError as exc:
         # too few recorded samples in the window, or only underflowed ones
         raise ConfigError(f"{exc}; widen it or start from a larger state") from exc
-    # the stepped loop's drift comes from the initial mean, not params.mu
     abscissa = record.run_meta["spectral_abscissa"]
     summary.update(
         {
@@ -419,9 +406,11 @@ def _run_control_linear(cfg: RunConfig) -> tuple:
 
 def _run_control_nonlinear(cfg: RunConfig) -> tuple:
     n = cfg["grid.n"]
-    profile = _build_profile(cfg)
-    u0 = cosine_field(n, cfg["control.u0_mode"], cfg["control.u0_amplitude"])
-    u1 = cosine_field(n, cfg["control.u1_mode"], cfg["control.u1_amplitude"])
+    # the nonlinear construction steers with the constant gain only
+    profile = make_profile_global(cfg.params.delta)
+    shift = constant_field(n, cfg.params.mu)
+    u0 = cosine_field(n, cfg["control.u0_mode"], cfg["control.u0_amplitude"]) + shift
+    u1 = cosine_field(n, cfg["control.u1_mode"], cfg["control.u1_amplitude"]) + shift
     problem = ControlProblem(cfg.params, profile, n, cfg["time.t_final"], u0, u1)
     solution = nonlinear_control_global(problem, dt=cfg["control.dt"])
     _check_certificate("steering certificate", solution.terminal_error, f" at control.dt = {cfg['control.dt']:g}")

@@ -611,7 +611,9 @@ def simulate_damped(
 
     The mean of u0 is conserved by the dynamics, so the run shifts to the
     mean-zero variable, folds the induced drift 2*mu*d/dx into the symbol
-    table, and adds the mean back into the recorded means and the endpoints.
+    table, and adds the mean back into the recorded means and the endpoints;
+    the recorded means are the stepped states' own, so a stepper that moved
+    the mean would show in them.
     """
     mu0 = mean(u0)
     table = build_symbols(replace(params, mu=mu0), u0.n_modes)
@@ -621,7 +623,7 @@ def simulate_damped(
         rec,
         initial=rec.initial + shift,
         final=rec.final + shift,
-        means=np.full(rec.times.size, mu0),
+        means=rec.means + mu0,
         run_meta={**rec.run_meta, "mean": mu0},
     )
 

@@ -24,7 +24,7 @@ from dgblab.cli import _KEYS, EXPERIMENTS, RunConfig, main, parse_config, run, w
 from dgblab.damping import make_profile_bump
 from dgblab.dynamics import build_closed_loop
 from dgblab.errors import ConfigError
-from dgblab.spectral import conjugate_extend
+from dgblab.spectral import conjugate_extend, mean
 from dgblab.symbols import BENJAMIN, ModelParams, build_symbols
 
 BENJAMIN_CFG = """
@@ -125,10 +125,28 @@ class TestRun:
         assert float(rows[-1][2]) == summary["resonance_min_ratio"]
         assert [int(k) for k in rows[-1][3:]] == [summary[f"resonance_witness_k{i}"] for i in (1, 2, 3)]
 
-    def test_drift_matching_init_mean_accepted(self):
-        cfg = parse_config("", "simulate", ["params.mu=0.3", "init.mean=0.3"])
-        assert cfg.params.mu == 0.3
-        assert parse_config("", "control-nonlinear", ["params.mu=0"]).params.mu == 0.0
+    def test_params_mu_is_the_state_mean(self, tmp_path, monkeypatch):
+        # simulate starts from the drawn field plus params.mu, and control-nonlinear
+        # steers between cosines that both carry it
+        run(parse_config("", "simulate", ["params.mu=0.3", "grid.n=8", "time.t_final=0.1"]), out_dir=tmp_path / "sim")
+        initial = json.loads((tmp_path / "sim" / "snapshots.json").read_text())["initial"]
+        assert initial["state"]["coeffs"][0] == [0.3, 0.0]
+
+        problems = []
+        steer = dgblab.cli.nonlinear_control_global
+        monkeypatch.setattr(
+            dgblab.cli, "nonlinear_control_global", lambda problem, **kw: problems.append(problem) or steer(problem, **kw)
+        )
+        cfg = parse_config("", "control-nonlinear", ["params.mu=0.3", "grid.n=16"])
+        assert run(cfg, out_dir=tmp_path / "cnl")["summary"]["terminal_error"] <= 1e-6
+        (problem,) = problems
+        assert mean(problem.v0) == mean(problem.v1) == 0.3
+
+    def test_gap_threshold_after_a_failing_head(self, tmp_path):
+        # the gaps of k = 1..11 fall short of the bound at these parameters
+        overrides = ["params.alpha=3", "params.beta=0.2", "params.m=1", "params.r=0.5", "grid.n=64"]
+        summary = run(parse_config("", "lemmas", overrides), out_dir=tmp_path / "lem")["summary"]
+        assert summary["gap_threshold"] == 12
 
     def test_stabilize_rate_matches_abscissa(self, tmp_path):
         cfg = parse_config(STABILIZE_CFG)
@@ -139,10 +157,10 @@ class TestRun:
         assert (tmp_path / "stab" / "profile.json").exists()
 
     def test_stabilize_abscissa_is_the_stepped_loops(self, tmp_path):
-        # the run's drift comes from init.mean, which differs from params.mu here
+        # the run's drift is that of its mean, params.mu
         cfg = parse_config(
             "experiment = stabilize\nprofile.kind = bump\nprofile.modes = 32\n"
-            "grid.n = 8\ninit.mean = 0.3\ntime.t_final = 0.1\n"
+            "grid.n = 8\nparams.mu = 0.3\ntime.t_final = 0.1\n"
         )
         run(cfg, out_dir=tmp_path / "stab")
         summary = json.loads((tmp_path / "stab" / "manifest.json").read_text())["summary"]
@@ -232,10 +250,8 @@ class TestMainEntry:
             # random fields whose largest coefficient scale overflows
             ("simulate", ["init.kind=random", "init.decay=-400"]),
             ("control-linear", ["control.decay=-400"]),
-            # a params.mu the experiment would ignore: it steps the drift of init.mean, or 0
-            ("control-nonlinear", ["grid.n=8", "params.mu=0.3"]),
-            ("simulate", ["grid.n=8", "params.mu=0.3"]),
-            ("stabilize", ["grid.n=8", "params.mu=0.1", "init.mean=0.3"]),
+            # the mean has one key, params.mu
+            ("stabilize", ["grid.n=8", "init.mean=0.3"]),
             ("lemmas", ["grid.n=3"]),
         ],
     )
@@ -255,6 +271,7 @@ class TestMainEntry:
             ("stabilize", "control.dt=0.01"),
             ("control-linear", "init.mode=2"),
             ("control-nonlinear", "profile.a=1"),
+            ("control-nonlinear", "profile.kind=global"),
             ("observability", "time.dt=1e-3"),
             ("lemmas", "time.t_final=1"),
         ],
@@ -526,7 +543,6 @@ _FREE_KEYS = {
     "init.kind": ["cosine", "random", "other"],
     "init.mode": ["1", "3", "0", "-2", "99"],
     "init.amplitude": ["0.05", "0", "-0.1", "1e300", "nan"],
-    "init.mean": ["0", "0.3", "nan"],
     "profile.kind": ["global", "bump", "other"],
     "profile.modes": ["16", "32", "0", "-1"],
     "profile.a": ["0", "1.5", "4", "-1", "nan"],
@@ -576,12 +592,9 @@ def test_main_keeps_documented_exit_codes(drawn, n, t_final):
 
 
 # keys an experiment accepts but does not read: the experiments that draw
-# nothing take a seed, and the drift rule compares params.mu with the drift
-# that simulate, stabilize and control-nonlinear step
+# nothing take a seed
 _ACCEPTED_UNREAD = {
-    "simulate": {"params.mu"},
-    "stabilize": {"params.mu"},
-    "control-nonlinear": {"seed", "params.mu"},
+    "control-nonlinear": {"seed"},
     "observability": {"seed"},
     "lemmas": {"seed"},
 }
@@ -590,7 +603,7 @@ _ACCEPTED_UNREAD = {
 def _tiny_configs(tmp_path, experiment):
     """Configs of `experiment` at grid.n = 8, over both gains and both kinds of initial data."""
     variants = [{}, {"profile.kind": "bump", "init.kind": "random"}]
-    # control-nonlinear steers with the constant gain only
+    # control-nonlinear reads neither key, so its second variant would repeat the first
     for i, variant in enumerate(variants[: 1 if experiment == "control-nonlinear" else 2]):
         sizes = {"grid.n": "8", "time.t_final": "0.1", **variant}
         overrides = [f"{k}={v}" for k, v in sizes.items() if experiment in _KEYS[k][2]]
@@ -814,7 +827,7 @@ def test_control_csv_round_trips_the_half_spectrum(tmp_path, monkeypatch, experi
 @pytest.mark.parametrize(
     "experiment, overrides",
     [
-        ("simulate", ["profile.kind=bump", "grid.n=16", "time.t_final=0.5", "init.mean=0.3"]),
+        ("simulate", ["profile.kind=bump", "grid.n=16", "time.t_final=0.5", "params.mu=0.3"]),
         ("stabilize", ["grid.n=16", "init.kind=random", "time.t_final=1"]),
     ],
     ids=["simulate-nonzero-mean", "stabilize-random"],

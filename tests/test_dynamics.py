@@ -623,6 +623,22 @@ class TestSimulate:
         rec = simulate_damped(BENJAMIN, global_profile, u0, 2.0, 1e-3, record_every=50)
         assert np.abs(rec.means - 0.3).max() <= 1e-10
 
+    def test_recorded_means_see_a_stepper_that_moves_the_mean(self, bump, monkeypatch):
+        # tie the mean row of the coupled step's e^{dt L} to mode 1: the recorded
+        # means must follow the states the stepper produced, not restate u0's mean
+        build = Etdrk4Integrator.__init__
+
+        def coupled(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            self._final[0, 2] = 1e-3
+
+        monkeypatch.setattr(Etdrk4Integrator, "__init__", coupled)
+        u0 = constant_field(32, 0.3) + cosine_field(32, 1, 0.1)
+        rec = simulate_damped(BENJAMIN, bump, u0, 1.0, 1e-3, record_every=100)
+        assert rec.means[0] == 0.3
+        assert rec.means[-1] == mean(rec.final)
+        assert np.abs(rec.means - 0.3).max() > 1e-3
+
     def test_norms_non_increasing(self, table, bump):
         rng = np.random.default_rng(7)
         v0 = 0.05 * random_field(24, rng, decay=1.5)

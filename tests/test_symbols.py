@@ -216,6 +216,13 @@ class TestGapCheck:
             gaps = [r.gap for r in report.rows if r.k >= report.threshold]
             assert all(b > a for a, b in zip(gaps[10:], gaps[11:]))
 
+    def test_threshold_after_a_failing_head(self):
+        # a large alpha |k|^{2r} against a small beta |k|^{2m}: the gaps of k = 1..11
+        # fall short of the bound, and every gap from k = 12 on clears it
+        report = gap_check(build_symbols(ModelParams(alpha=3.0, beta=0.2, m=1.0, r=0.5), 64))
+        assert [r.k for r in report.rows if not r.passed] == list(range(1, 12))
+        assert report.threshold == 12
+
     def test_negative_side_by_oddness(self):
         t = build_symbols(BENJAMIN, 30)
         ks = np.arange(1, 30)
