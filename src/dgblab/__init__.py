@@ -47,7 +47,6 @@ from .dynamics import (
     linear_trajectory,
     semigroup_apply,
     simulate,
-    simulate_damped,
 )
 from .control import (
     ControlProblem,
@@ -59,4 +58,4 @@ from .control import (
     observability_constant,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -36,7 +36,7 @@ from .control import (
     observability_constant,
 )
 from .damping import DampingProfile, make_profile_bump, make_profile_global
-from .dynamics import decay_fit, simulate_damped
+from .dynamics import decay_fit, simulate
 from .errors import ConfigError, DgbError
 from .spectral import SpectralField, constant_field, cosine_field, random_field
 from .symbols import (
@@ -314,8 +314,8 @@ def _damped_run(cfg: RunConfig, u0: SpectralField) -> tuple:
     `snapshots.json` holds the run's two endpoint states, as coefficients k = 0..N each.
     """
     profile = _build_profile(cfg)
-    record = simulate_damped(
-        cfg.params,
+    record = simulate(
+        build_symbols(cfg.params, cfg["grid.n"]),
         profile,
         u0,
         cfg["time.t_final"],
@@ -387,8 +387,9 @@ def _run_control_linear(cfg: RunConfig) -> tuple:
     rng = np.random.default_rng(cfg["seed"])
     profile = _build_profile(cfg)
     n = cfg["grid.n"]
-    v0 = random_field(n, rng, amplitude=cfg["control.amplitude"], decay=cfg["control.decay"])
-    v1 = random_field(n, rng, amplitude=cfg["control.amplitude"], decay=cfg["control.decay"])
+    shift = constant_field(n, cfg.params.mu)
+    v0 = random_field(n, rng, amplitude=cfg["control.amplitude"], decay=cfg["control.decay"]) + shift
+    v1 = random_field(n, rng, amplitude=cfg["control.amplitude"], decay=cfg["control.decay"]) + shift
     problem = ControlProblem(cfg.params, profile, n, cfg["time.t_final"], v0, v1)
     solution = linear_control_gramian(problem)
     _check_certificate("steering certificate", solution.terminal_error)

@@ -34,6 +34,7 @@ from .dynamics import (
     _real_field,
     _real_gain,
     _real_halves,
+    _require_mean,
     build_closed_loop,
     simulate,
 )
@@ -48,7 +49,6 @@ from .spectral import (
     TWO_PI,
     SpectralField,
     l2_norm,
-    mean,
     norm_sq,
     sobolev_weights,
     transport,
@@ -58,7 +58,7 @@ from .symbols import ModelParams, SymbolTable, build_symbols
 
 @dataclass(frozen=True, eq=False)
 class ControlProblem:
-    """Steering task: reach v1 from v0 at time horizon through the gain."""
+    """Steering task: reach v1 from v0 at time horizon through the gain; both have mean `params.mu`."""
 
     params: ModelParams
     profile: DampingProfile | None
@@ -71,9 +71,8 @@ class ControlProblem:
     def __post_init__(self):
         if not 0 < self.horizon < np.inf:
             raise ValueError("horizon must be positive and finite")
-        m0, m1 = mean(self.v0), mean(self.v1)
-        if abs(m0 - m1) > 1e-14 * max(1.0, abs(m0)):
-            raise ValueError("endpoint means must agree: the mean is uncontrollable")
+        _require_mean(self.v0, self.params.mu, "the initial state")
+        _require_mean(self.v1, self.params.mu, "the target state")
 
 
 @dataclass(eq=False)
@@ -338,9 +337,10 @@ def _control_norm(times: np.ndarray, samples: np.ndarray, s: float) -> float:
 
 
 def _check_endpoint_resolution(u: SpectralField, label: str):
-    """Warn when the modes |k| >= 3N/4 hold more than 1e-10 of the squared norm."""
-    total = norm_sq(u.half)
-    tail = norm_sq(u.half, np.arange(u.n_modes + 1) >= max(1, (3 * u.n_modes) // 4))
+    """Warn when the modes |k| >= 3N/4 hold more than 1e-10 of the squared norm, mean left out."""
+    ks = np.arange(u.n_modes + 1)
+    total = norm_sq(u.half, ks > 0)
+    tail = norm_sq(u.half, ks >= max(1, (3 * u.n_modes) // 4))
     if tail > 1e-10 * total:
         warnings.warn(f"{label} spectrum barely decays at the cutoff; enlarge n_modes")
 
@@ -352,10 +352,11 @@ def nonlinear_control_global(problem: ControlProblem, dt: float = 1e-3) -> Contr
     trajectory u(t) has a closed form.  Feeding the transport term of that
     very trajectory back through the gain (as 2 pi d/dx u^2) makes u solve
     the forced nonlinear equation too, so the steering is exact up to
-    discretization.  Certified by re-simulating the nonlinear system, with
-    the forcing a pure function of t, as `simulate` requires, evaluated on
-    arrays of times: a block of stage times per call, and the control's
-    samples in one call.
+    discretization.  u(t) takes its phases from the mu = 0 symbols and carries
+    the mean `params.mu`.  Certified by re-simulating the nonlinear system on
+    the `params.mu` symbols under the same forcing, a pure function of t
+    evaluated on arrays of times: a block of stage times per call, and the
+    control's samples in one call.
     """
     p = problem
     if p.profile is not None and p.profile.k_modes != 0:
@@ -370,7 +371,7 @@ def nonlinear_control_global(problem: ControlProblem, dt: float = 1e-3) -> Contr
     u0 = p.v0.with_cutoff(n).half
     u1 = p.v1.with_cutoff(n).half
     # the controlled linear trajectory u(t) = e^{i lam t} (u0 + t drift) runs from u0 to u1;
-    # the mean is not steered, so u keeps that of u0 (ControlProblem checks u1 agrees)
+    # the mean is not steered, so u keeps that of u0 and u1, params.mu
     drift = (np.exp(-1j * lam * big_t) * u1 - u0) / big_t
     drift[0] = 0.0
 
@@ -384,7 +385,8 @@ def nonlinear_control_global(problem: ControlProblem, dt: float = 1e-3) -> Contr
         phase = np.exp(1j * lam * t)
         return phase * drift + transport(phase * (u0 + t * drift))
 
-    record = simulate(table0, None, p.v0.with_cutoff(n), big_t, dt, forcing=forcing, record_every=10**9)
+    table = build_symbols(p.params, n)
+    record = simulate(table, None, p.v0.with_cutoff(n), big_t, dt, forcing=forcing, record_every=10**9)
     err = l2_norm(record.final - p.v1.with_cutoff(n)) / max(l2_norm(p.v1), 1e-12)
 
     # the control h = h1 + 2 pi d/dx u^2 is the forcing divided by the gain

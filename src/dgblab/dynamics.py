@@ -4,14 +4,14 @@ The damped evolution treats the whole linear generator exactly: the damped
 closed-loop generator of `build_closed_loop` (modewise exp((i lam(k) - d(k)) t)
 when the feedback is diagonal) sits inside the exponentials of a
 fourth-order exponential Runge-Kutta scheme, and only the transport
-nonlinearity and optional forcing are explicit.  The k = 0 mode is conserved
-by every term and is held exactly constant.
+nonlinearity and optional forcing are explicit.  The mean is conserved, so
+`simulate` steps the mean-zero fluctuation, the mean's drift in the symbols.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import repeat
 
@@ -30,7 +30,7 @@ from .spectral import (
     transport,
     transport_workspace,
 )
-from .symbols import ModelParams, SymbolTable, build_symbols
+from .symbols import SymbolTable
 
 
 @dataclass(eq=False)
@@ -510,6 +510,12 @@ def _stage_forcing(forcing, n_steps: int, dt: float):
             yield rows[2 * j : 2 * j + 3]
 
 
+def _require_mean(v: SpectralField, mu: float, label: str):
+    """Raise ValueError unless mean(v) is mu to a relative 1e-14: the mean is conserved."""
+    if not abs(mean(v) - mu) <= 1e-14 * max(1.0, abs(mu)):
+        raise ValueError(f"{label} has mean {mean(v)!r}, not params.mu = {mu!r}; the mean is conserved")
+
+
 def simulate(
     table: SymbolTable,
     profile: DampingProfile | None,
@@ -521,6 +527,10 @@ def simulate(
 ) -> TrajectoryRecord:
     """Integrate to t_final, recording diagnostics every record_every steps.
 
+    v0's mean must be the table's `params.mu`: the run steps the mean-zero
+    fluctuation, the drift 2 mu d/dx exact in the symbols, and adds the mean
+    back to `final` and to the stepped states' recorded means.  `initial` is v0.
+
     Each recorded state is built once, its fluctuation norm, mean and (under
     a profile) dissipation rate are recorded, and only the first and last
     state are kept, so memory does not grow with the run.  Divergence raises,
@@ -528,11 +538,12 @@ def simulate(
     step count and the spectral abscissa of the generator that was stepped.
 
     `forcing`, when given, maps an array of times to one row per time of the
-    coefficients k = 0..N added to the right-hand side; it must be a pure
-    function of t, and its rows are not mutated.  It is evaluated once per
-    distinct stage time, 2 n_steps + 1 times in all, a block of steps per
-    call (`_stage_forcing`).
+    coefficients k = 0..N added to the fluctuation's right-hand side; it must
+    be a pure function of t, and its rows are not mutated.  It is evaluated
+    once per distinct stage time, 2 n_steps + 1 times in all, a block of
+    steps per call (`_stage_forcing`).
     """
+    _require_mean(v0, table.params.mu, "the initial state")
     n_steps, dt_eff = _time_grid(t_final, dt)
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
@@ -542,15 +553,16 @@ def simulate(
     with_residual = (
         profile is not None and n_steps % record_every == 0 and n_steps >= 4 * record_every
     )
+    fluct = project_mean_zero(v0)
 
     # a step blows up when its squared norm exceeds 1e12 times the initial
     # one, floored at an absolute scale so that a forced run from rest does not
     # count its first step as a blow-up.  Each step sums the squares of its
-    # (Re, Im) floats, norm_sq / (4 pi) + mean^2 / 2 as the mean is held
-    # exactly, against the limit in those units; numpy sums them rather than
-    # BLAS, whose idle threads would wake and raise the peak memory of a run
-    # that makes no other BLAS call
-    blow_limit = 1e12 * max(norm_sq(v0.half), TWO_PI) / (2.0 * TWO_PI) + mean(v0) ** 2 / 2.0
+    # (Re, Im) floats, norm_sq / (4 pi) as the stepped mean stays zero,
+    # against the limit in those units; numpy sums them rather than BLAS,
+    # whose idle threads would wake and raise the peak memory of a run that
+    # makes no other BLAS call
+    blow_limit = 1e12 * max(norm_sq(fluct.half), TWO_PI) / (2.0 * TWO_PI)
     squares = np.empty(2 * (n + 1))
     # norm weights that drop the mean k = 0
     fluctuation = np.arange(n + 1) > 0
@@ -564,8 +576,8 @@ def simulate(
         if with_residual:
             rates.append(dissipation_form(profile, v))
 
-    record(0.0, v0)
-    half = v0.half
+    record(0.0, fluct)
+    half = fluct.half
     stages = repeat(None, n_steps) if forcing is None else _stage_forcing(forcing, n_steps, dt_eff)
     for i, forced in enumerate(stages):
         half = stepper.step(half, forced)
@@ -582,12 +594,13 @@ def simulate(
 
     times, l2norms = np.array(times), np.sqrt(l2norms)
     resid = energy_residual(times, l2norms, np.array(rates)) if with_residual else None
+    mu = mean(v0)
     return TrajectoryRecord(
         times=times,
         initial=v0,
-        final=final,
+        final=final + constant_field(n, mu),
         l2norms=l2norms,
-        means=np.array(means),
+        means=np.array(means) + mu,
         energy_residuals=resid,
         run_meta={
             "dt": dt_eff,
@@ -596,35 +609,6 @@ def simulate(
             "record_every": record_every,
             "spectral_abscissa": stepper.spectral_abscissa,
         },
-    )
-
-
-def simulate_damped(
-    params: ModelParams,
-    profile: DampingProfile,
-    u0: SpectralField,
-    t_final: float,
-    dt: float,
-    **kwargs,
-) -> TrajectoryRecord:
-    """Closed-loop run for a state with arbitrary mean.
-
-    The mean of u0 is conserved by the dynamics, so the run shifts to the
-    mean-zero variable, folds the induced drift 2*mu*d/dx into the symbol
-    table, and adds the mean back into the recorded means and the endpoints;
-    the recorded means are the stepped states' own, so a stepper that moved
-    the mean would show in them.
-    """
-    mu0 = mean(u0)
-    table = build_symbols(replace(params, mu=mu0), u0.n_modes)
-    rec = simulate(table, profile, project_mean_zero(u0), t_final, dt, **kwargs)
-    shift = constant_field(u0.n_modes, mu0)
-    return replace(
-        rec,
-        initial=rec.initial + shift,
-        final=rec.final + shift,
-        means=rec.means + mu0,
-        run_meta={**rec.run_meta, "mean": mu0},
     )
 
 

@@ -142,6 +142,15 @@ class TestRun:
         (problem,) = problems
         assert mean(problem.v0) == mean(problem.v1) == 0.3
 
+    def test_large_mean_steers(self, tmp_path):
+        # the certificate steps the mean's drift 2 mu d/dx exactly, so a mean of
+        # 30 at grid.n = 64 does not blow up at the default control.dt = 0.01
+        args = ["control-nonlinear", "--override", "params.mu=30", "--override", "grid.n=64"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(args + ["--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["summary"]["terminal_error"] <= 1e-6
+
     def test_gap_threshold_after_a_failing_head(self, tmp_path):
         # the gaps of k = 1..11 fall short of the bound at these parameters
         overrides = ["params.alpha=3", "params.beta=0.2", "params.m=1", "params.r=0.5", "grid.n=64"]
@@ -532,43 +541,51 @@ class TestMainEntry:
         assert not (tmp_path / "sweep" / "c").exists()
 
 
-# up to three free keys that the experiment reads, drawn on top of the
-# experiment, grid and horizon: in-range values and non-finite, negative,
-# zero or out-of-range ones
+# the free keys an experiment reads, drawn on top of the experiment, grid and
+# horizon: (in-range values, out-of-range ones).  In range is within the key's
+# own rule (every in-range profile.a is below every in-range profile.b; the fit
+# window's order also depends on the horizon); out of range is non-finite,
+# negative, zero, outside that rule, or large enough to overflow
 _FREE_KEYS = {
-    "time.t_final": ["0", "-0.1", "1e-9", "nan", "inf"],
-    "time.dt": ["1e-3", "5e-3", "0", "-1e-3", "nan", "inf", "-inf"],
-    "control.dt": ["1e-2", "0", "-1", "nan", "inf"],
-    "record.every": ["1", "5", "0", "-3"],
-    "init.kind": ["cosine", "random", "other"],
-    "init.mode": ["1", "3", "0", "-2", "99"],
-    "init.amplitude": ["0.05", "0", "-0.1", "1e300", "nan"],
-    "profile.kind": ["global", "bump", "other"],
-    "profile.modes": ["16", "32", "0", "-1"],
-    "profile.a": ["0", "1.5", "4", "-1", "nan"],
-    "profile.b": ["3", "6.3", "1", "inf"],
-    "fit.t0": ["0", "0.01", "0.1", "-1", "nan"],
-    "fit.t1": ["0.05", "0.2", "5", "inf"],
-    "lemmas.tol": ["0", "1e-9", "-1", "nan"],
-    "lemmas.n_max": ["1", "2", "8", "-5"],
-    "params.mu": ["0", "0.3", "nan", "-inf"],
-    "params.delta": ["1", "0.5", "0", "nan"],
-    "control.u1_mode": ["2", "0", "40"],
-    "init.decay": ["1.5", "0", "-2", "-400"],
-    "control.decay": ["1.5", "-300", "-400"],
-    "control.amplitude": ["1", "0", "1e300"],
+    "time.t_final": (["1e-9"], ["0", "-0.1", "nan", "inf"]),
+    "time.dt": (["1e-3", "5e-3"], ["0", "-1e-3", "nan", "inf", "-inf"]),
+    "control.dt": (["1e-2"], ["0", "-1", "nan", "inf"]),
+    "record.every": (["1", "5"], ["0", "-3"]),
+    "init.kind": (["cosine", "random"], ["other"]),
+    "init.mode": (["1", "3"], ["0", "-2", "99"]),
+    "init.amplitude": (["0.05", "0", "-0.1"], ["1e300", "nan"]),
+    "profile.kind": (["global", "bump"], ["other"]),
+    "profile.modes": (["16", "32"], ["0", "-1"]),
+    "profile.a": (["0", "1.5", "4"], ["-1", "nan"]),
+    "profile.b": (["4.5", "6.3"], ["1", "inf"]),
+    "fit.t0": (["0", "0.01", "0.1"], ["-1", "nan"]),
+    "fit.t1": (["0.05", "0.2"], ["5", "inf"]),
+    "lemmas.tol": (["0", "1e-9"], ["-1", "nan"]),
+    "lemmas.n_max": (["2", "8"], ["1", "-5"]),
+    "params.mu": (["0", "0.3", "30"], ["nan", "-inf"]),
+    "params.delta": (["1", "0.5"], ["0", "nan"]),
+    "control.u1_mode": (["2"], ["0", "40"]),
+    "init.decay": (["1.5", "0", "-2"], ["-400", "-1000"]),
+    "control.decay": (["1.5"], ["-300", "-400", "-1000"]),
+    "control.amplitude": (["1", "0"], ["1e300"]),
 }
 
 
 def _free_draws(experiment):
+    """Up to three in-range keys and at most one out-of-range key, so that no
+    other invalid value exits 2 before the out-of-range one is handled."""
     keys = sorted(key for key in _FREE_KEYS if experiment in _KEYS[key][2])
-    free = st.lists(st.sampled_from(keys), max_size=3, unique=True).flatmap(
-        lambda keys: st.fixed_dictionaries({k: st.sampled_from(_FREE_KEYS[k]) for k in keys})
-    )
+
+    def values(keys, which):
+        return st.fixed_dictionaries({k: st.sampled_from(_FREE_KEYS[k][which]) for k in keys})
+
+    in_range = st.lists(st.sampled_from(keys), max_size=3, unique=True).flatmap(lambda ks: values(ks, 0))
+    out_of_range = st.one_of(st.just({}), st.sampled_from(keys).flatmap(lambda k: values([k], 1)))
+    free = st.tuples(in_range, out_of_range).map(lambda pair: {**pair[0], **pair[1]})
     return st.tuples(st.just(experiment), free)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     drawn=st.sampled_from(EXPERIMENTS).flatmap(_free_draws),
     n=st.integers(4, 16),
@@ -688,6 +705,17 @@ def test_readme_config_parses():
     cfg = parse_config(block)
     assert cfg.experiment == "stabilize"
     assert cfg["profile.kind"] == "bump"
+
+
+def test_readme_library_example_runs():
+    # the README's library example runs as written, and its decay rate is the loop's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = [b.removeprefix("python\n") for b in readme.split("```")[1::2] if b.startswith("python\n")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    rate, abscissa_rate = map(float, out.getvalue().split())
+    assert rate == pytest.approx(abscissa_rate, rel=0.01)
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
@@ -836,13 +864,13 @@ def test_snapshots_round_trip_the_half_spectrum(tmp_path, monkeypatch, experimen
     # snapshots.json holds k = 0..N of the first and last states, and JSON floats
     # read back to the same bits; conjugate-extending them gives the full band -N..N
     records = []
-    integrate = dgblab.cli.simulate_damped
+    integrate = dgblab.cli.simulate
 
     def capture(*args, **kwargs):
         records.append(integrate(*args, **kwargs))
         return records[-1]
 
-    monkeypatch.setattr(dgblab.cli, "simulate_damped", capture)
+    monkeypatch.setattr(dgblab.cli, "simulate", capture)
     args = [experiment, "--out", str(tmp_path)]
     for item in overrides:
         args += ["--override", item]

@@ -1,6 +1,7 @@
 """Tests for control synthesis, biorthogonal families, and observability."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +194,14 @@ class TestLinearControl:
             ControlProblem(
                 BENJAMIN, global_profile, 8, 1.0, constant_field(8, 0.1), constant_field(8, 0.2)
             )
+
+    def test_common_mean_must_be_params_mu(self, global_profile):
+        # endpoints that agree on a mean the symbols were not built for
+        u0, u1 = constant_field(8, 0.3) + cosine_field(8, 1, 0.1), constant_field(8, 0.3)
+        for mu in (0.0, 0.7):
+            with pytest.raises(ValueError, match="params.mu"):
+                ControlProblem(replace(BENJAMIN, mu=mu), global_profile, 8, 1.0, u0, u1)
+        ControlProblem(replace(BENJAMIN, mu=0.3), global_profile, 8, 1.0, u0, u1)
 
     def test_global_matches_modal_closed_form(self, global_profile):
         rng = np.random.default_rng(0)
@@ -460,9 +469,21 @@ class TestNonlinearControl:
             nonlinear_control_global(prob, dt=0.1)
         assert sum("barely decays" in str(w.message) for w in caught) == (2 if warns else 0)
 
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 3.0])
+    def test_endpoint_resolution_warning_ignores_the_mean(self, global_profile, mu):
+        # 1e-6 at mode 12 of n = 16 is under-resolved next to a 0.05 cosine at
+        # mode 2, whatever mean the state carries: the tail is measured against
+        # the fluctuation
+        u = constant_field(16, mu) + cosine_field(16, 2, 0.05) + cosine_field(16, 12, 1e-6)
+        prob = ControlProblem(replace(BENJAMIN, mu=mu), global_profile, 16, 1.0, u, u)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            nonlinear_control_global(prob, dt=0.1)
+        assert sum("barely decays" in str(w.message) for w in caught) == 2
+
     def test_constant_equilibrium(self, global_profile):
         u = constant_field(16, 0.2)
-        prob = ControlProblem(BENJAMIN, global_profile, 16, 1.0, u, u)
+        prob = ControlProblem(replace(BENJAMIN, mu=0.2), global_profile, 16, 1.0, u, u)
         sol = nonlinear_control_global(prob, dt=1e-2)
         assert sol.terminal_error < 1e-14
         assert max(l2_norm(f) for f in sol.fields) == 0.0
@@ -486,7 +507,7 @@ class TestNonlinearControl:
         u0 = constant_field(32, 0.1) + cosine_field(32, 1, 0.03)
         u1 = constant_field(32, 0.1) + cosine_field(32, 3, 0.03)
         sol = nonlinear_control_global(
-            ControlProblem(BENJAMIN, global_profile, 32, 1.0, u0, u1), dt=5e-3
+            ControlProblem(replace(BENJAMIN, mu=0.1), global_profile, 32, 1.0, u0, u1), dt=5e-3
         )
         assert sol.terminal_error < 1e-6
 

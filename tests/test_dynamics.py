@@ -26,7 +26,6 @@ from dgblab.dynamics import (
     linear_trajectory,
     semigroup_apply,
     simulate,
-    simulate_damped,
 )
 from dgblab.errors import DgbError
 from dgblab.spectral import (
@@ -573,25 +572,51 @@ class TestSimulate:
         rec = simulate(table, global_profile, constant_field(16, 0.0), 0.1, 1e-2)
         assert np.all(rec.l2norms == 0.0)
 
-    def test_recorded_norms_and_means_of_the_states(self, table, bump):
+    def test_recorded_norms_and_means_of_the_states(self, bump):
         # read off each state's coefficients, bit for bit the field functions'
-        # values on the states of an integrator stepped by hand
-        v0 = constant_field(16, 0.3) + random_field(16, np.random.default_rng(12), decay=1.0)
+        # values on the states of an integrator stepped by hand from the
+        # mean-zero part on the mean's symbols, with the mean added back
+        table = build_symbols(replace(BENJAMIN, mu=0.3), 16)
+        shift = constant_field(16, 0.3)
+        v0 = shift + random_field(16, np.random.default_rng(12), decay=1.0)
         rec = simulate(table, bump, v0, 0.05, 1e-3, record_every=5)
         dt = rec.run_meta["dt"]
         stepper = Etdrk4Integrator(table, bump, 16, dt)
-        states, half = [v0], v0.half
+        states, half = [v0], project_mean_zero(v0).half
         for i in range(50):
             half = stepper.step(half)
             if (i + 1) % 5 == 0:
-                states.append(SpectralField(16, half))
+                states.append(SpectralField(16, half) + shift)
         assert rec.l2norms.tolist() == [l2_norm(project_mean_zero(s)) for s in states]
         assert rec.means.tolist() == [mean(s) for s in states]
         assert rec.initial is v0
         assert rec.final.half.tobytes() == states[-1].half.tobytes()
 
+    @pytest.mark.parametrize("mu", [0.0, 0.7])
+    def test_initial_mean_must_be_the_tables(self, global_profile, mu):
+        # a state of mean 0.3 on symbols built for another mean
+        table = build_symbols(replace(BENJAMIN, mu=mu), 16)
+        v0 = constant_field(16, 0.3) + cosine_field(16, 1, 0.1)
+        with pytest.raises(ValueError, match="params.mu"):
+            simulate(table, global_profile, v0, 0.1, 1e-2)
+
+    def test_nonzero_mean_is_a_galilean_drift(self, global_profile):
+        # u = mu + w(x - 2 mu t) solves the equation when w does: the constant
+        # gain and the transport commute with translations, so the run at mean
+        # mu is the mean-zero run with mode k turned by e^{-2 i mu k t}
+        n, mu, t_final = 16, 0.3, 1.0
+        v = cosine_field(n, 1, 0.1) + cosine_field(n, 2, 0.05)
+        rest = simulate(build_symbols(BENJAMIN, n), global_profile, v, t_final, 1e-3)
+        moving = simulate(
+            build_symbols(replace(BENJAMIN, mu=mu), n), global_profile, constant_field(n, mu) + v, t_final, 1e-3
+        )
+        turned = rest.final.half * np.exp(-2j * mu * np.arange(n + 1) * t_final)
+        expected = SpectralField(n, turned) + constant_field(n, mu)
+        assert l2_norm(moving.final - expected) <= 1e-11 * l2_norm(v)
+        assert moving.l2norms == pytest.approx(rest.l2norms, rel=1e-12)
+
     @pytest.mark.parametrize("kind", ["bump", "undamped"])
-    def test_forced_run_matches_hand_stepped_integrator(self, table, bump, kind):
+    def test_forced_run_matches_hand_stepped_integrator(self, bump, kind):
         # simulate tabulates the forcing a block of steps at a time; stepping by
         # hand with each stage time's row evaluated alone gives the same bits,
         # over a step count that is not a multiple of the block
@@ -604,23 +629,26 @@ class TestSimulate:
         def forcing(times):
             return np.exp(rates * times[:, None]) * coef
 
-        v0 = constant_field(n, 0.2) + random_field(n, np.random.default_rng(22), amplitude=0.5)
+        # the run steps the mean-zero part on the mean's symbols
+        table = build_symbols(replace(BENJAMIN, mu=0.2), n)
+        shift = constant_field(n, 0.2)
+        v0 = shift + random_field(n, np.random.default_rng(22), amplitude=0.5)
         rec = simulate(table, profile, v0, 0.037, 1e-3, forcing=forcing)
         dt = rec.run_meta["dt"]
         assert rec.run_meta["n_steps"] == n_steps
         stepper = Etdrk4Integrator(table, profile, n, dt)
-        half, norms = v0.half, [l2_norm(project_mean_zero(v0))]
+        half, norms = project_mean_zero(v0).half, [l2_norm(project_mean_zero(v0))]
         for i in range(n_steps):
             t = i * dt
             rows = np.concatenate([forcing(np.array([s])) for s in (t, t + dt / 2.0, (i + 1) * dt)])
             half = stepper.step(half, rows)
             norms.append(l2_norm(project_mean_zero(SpectralField(n, half))))
-        assert rec.final.half.tobytes() == half.tobytes()
+        assert rec.final.half.tobytes() == (SpectralField(n, half) + shift).half.tobytes()
         assert rec.l2norms.tolist() == norms
 
     def test_mean_invariance_with_offset(self, global_profile):
         u0 = constant_field(16, 0.3) + cosine_field(16, 1, 0.1)
-        rec = simulate_damped(BENJAMIN, global_profile, u0, 2.0, 1e-3, record_every=50)
+        rec = simulate(build_symbols(replace(BENJAMIN, mu=0.3), 16), global_profile, u0, 2.0, 1e-3, record_every=50)
         assert np.abs(rec.means - 0.3).max() <= 1e-10
 
     def test_recorded_means_see_a_stepper_that_moves_the_mean(self, bump, monkeypatch):
@@ -634,7 +662,7 @@ class TestSimulate:
 
         monkeypatch.setattr(Etdrk4Integrator, "__init__", coupled)
         u0 = constant_field(32, 0.3) + cosine_field(32, 1, 0.1)
-        rec = simulate_damped(BENJAMIN, bump, u0, 1.0, 1e-3, record_every=100)
+        rec = simulate(build_symbols(replace(BENJAMIN, mu=0.3), 32), bump, u0, 1.0, 1e-3, record_every=100)
         assert rec.means[0] == 0.3
         assert rec.means[-1] == mean(rec.final)
         assert np.abs(rec.means - 0.3).max() > 1e-3
