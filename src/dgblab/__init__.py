@@ -58,4 +58,4 @@ from .control import (
     observability_constant,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

@@ -577,8 +577,8 @@ def _single_run(experiment, args) -> int:
 
 
 def _sweep(args) -> int:
-    """Run every config in turn into <out>/<file stem>; all are validated before the
-    first runs, and a failing run ends the sweep with its exit code, as it ends one run."""
+    """Run every config in turn into <out>/<file stem>, so none may set `out`; all are validated
+    before the first runs, and a failing run ends the sweep with its exit code, as it ends one run."""
     base = Path(args.out or "runs/sweep")
     jobs = {}
     for path in args.configs:
@@ -586,6 +586,8 @@ def _sweep(args) -> int:
         if name in jobs:
             raise ConfigError(f"two configs share the file stem '{name}' and so one output directory")
         jobs[name] = parse_config(_read_config(path))
+        if "out" in jobs[name].raw:
+            raise ConfigError(f"config '{path}' sets out, but a sweep writes each run into <out>/{name}")
     _make_out_dir(base)
     for name, cfg in jobs.items():
         run(cfg, out_dir=base / name)

@@ -415,8 +415,8 @@ class ObservabilityReport:
 
     @property
     def gamma_gramian(self) -> float:
-        """The per-horizon contraction rho = 1 - 2/c_obs as a rate -log(rho)/(2T);
-        it never exceeds `gamma_abscissa` (it is the conservative bound)."""
+        """The per-horizon contraction rho as a rate -log(rho)/(2T); it never
+        exceeds `gamma_abscissa` (it is the conservative bound)."""
         return float(-np.log(self.rho) / (2 * self.horizon))
 
     @property
@@ -440,6 +440,9 @@ def observability_constant(
     (`_gramian` on the transposed eigenbasis) from the loop's cached
     eigenbasis, which the report's `gamma_abscissa` also reads; the tests hold
     it against a Pade block exponential.
+    The contraction rho = ||e^{TA}||^2 is lambda_max(F^T F) of the flow F in
+    that eigenbasis; A + A^T = -2 B makes it 1 - 2/c_obs, a difference that
+    cancels every digit as c_obs nears 2 at long horizons.
     """
     loop = build_closed_loop(table, profile, n_modes)
     mu, vecs, inv = loop.eigenbasis
@@ -451,11 +454,15 @@ def observability_constant(
     if c_obs <= 2.0:  # pragma: no cover
         raise ObservabilityFailureError("observed energy exceeded the total energy budget")
 
+    flow = ((vecs * np.exp(horizon * mu)) @ inv).real
+    rho = float(np.linalg.eigvalsh(flow.T @ flow)[-1])
+    if rho == 0.0:
+        raise ObservabilityFailureError(f"the flow underflows to zero over the horizon {horizon:g}")
     worst = _real_field(eigvecs[:, 0], n_modes)
     worst = worst * (1.0 / l2_norm(worst))
     return ObservabilityReport(
         c_obs=c_obs,
-        rho=1.0 - 2.0 / c_obs,
+        rho=rho,
         worst_mode=worst,
         horizon=horizon,
         loop=loop,

@@ -31,6 +31,7 @@ from .spectral import (
     TWO_PI,
     SpectralField,
     apply_multiplier,
+    conjugate_extend,
     l2_inner,
     l2_norm,
     norm_sq,
@@ -156,17 +157,19 @@ def _ghat_at(p: DampingProfile, rows: np.ndarray, cols=0) -> np.ndarray:
 def apply_gain(p: DampingProfile, v: SpectralField) -> SpectralField:
     """G v = g (v - integral(v g)); output keeps the grown band N + K.
 
-    A convolution with ghat, O(N K).  The gain has unit integral, so the
-    output mean is exactly 0; it is set so in place of its rounding residue.
+    A convolution with ghat of the conjugate-extended input, O(N K); each
+    k >= 0 averages the sums at k and -k, which agree up to rounding.  The gain
+    has unit integral, so the output mean is 0, set so over its rounding residue.
     """
     n, kk = v.n_modes, p.k_modes
     m = min(n, kk)
-    w = v.coeffs.copy()
+    w = conjugate_extend(v.half)
     # integral(v g) over the modes both bands hold
     w[n] -= TWO_PI * np.vdot(p.ghat[kk - m : kk + m + 1], w[n - m : n + m + 1]).real
     out = np.convolve(p.ghat, w)
-    out[n + kk] = 0.0
-    return SpectralField.from_coeffs(n + kk, out)
+    c = n + kk
+    out[c] = 0.0
+    return SpectralField(c, 0.5 * (out[c:] + np.conj(out[c::-1])))
 
 
 def _fractional(delta: float):
@@ -188,18 +191,16 @@ def apply_dissipation_part(p: DampingProfile, v: SpectralField) -> SpectralField
 def apply_smoothing_remainder(p: DampingProfile, v: SpectralField) -> SpectralField:
     """Off-diagonal convolution piece: the n != k part of the g D^delta g sums."""
     n = v.n_modes
-    # the dense band-n to band-(n + 2K) product: its diagonal cancels exactly for the constant gain
-    k_out = np.arange(-(n + 2 * p.k_modes), n + 2 * p.k_modes + 1)
+    # rows k >= 0 of the dense band-n to band-(n + 2K) product: its diagonal cancels exactly for the constant gain
+    k_out = np.arange(n + 2 * p.k_modes + 1)
     l_mid = np.arange(-(n + p.k_modes), n + p.k_modes + 1)
     dl = np.abs(l_mid).astype(np.float64) ** p.delta
     inner = _ghat_at(p, l_mid, np.arange(-n, n + 1))
     mat = _ghat_at(p, k_out, l_mid) @ (dl[:, None] * inner)
-    out = mat @ v.coeffs
-    center = n + 2 * p.k_modes
-    diag = np.diagonal(mat[center - n : center + n + 1, :])
-    out[center - n : center + n + 1] -= diag * v.coeffs
-    out[center] = 0.0
-    return SpectralField.from_coeffs(n + 2 * p.k_modes, out)
+    out = mat @ conjugate_extend(v.half)
+    out[: n + 1] -= np.diagonal(mat[:, n:]) * v.half
+    out[0] = 0.0
+    return SpectralField(n + 2 * p.k_modes, out)
 
 
 def apply_mean_correction(p: DampingProfile, v: SpectralField) -> SpectralField:
@@ -212,12 +213,12 @@ def apply_mean_correction(p: DampingProfile, v: SpectralField) -> SpectralField:
     kk = p.k_modes
     g = gain_field(p)
     dg = apply_multiplier(g, _fractional(p.delta))
-    gdg = SpectralField.from_coeffs(2 * kk, np.convolve(p.ghat, dg.coeffs))
+    gdg = SpectralField(2 * kk, np.convolve(p.ghat, conjugate_extend(dg.half))[2 * kk :])
     s1, s2, s3 = l2_inner(v, g), l2_inner(v, gdg), l2_inner(dg, g)
-    out = -s1 * gdg.coeffs
-    out[kk : 3 * kk + 1] += (-s2 + s1 * s3) * p.ghat
-    out[2 * kk] += s2 / TWO_PI
-    return SpectralField.from_coeffs(2 * kk, out)
+    out = -s1 * gdg.half
+    out[: kk + 1] += (-s2 + s1 * s3) * g.half
+    out[0] += s2 / TWO_PI
+    return SpectralField(2 * kk, out)
 
 
 def decomposition_residual(p: DampingProfile, v: SpectralField) -> float:

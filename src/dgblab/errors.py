@@ -5,10 +5,6 @@ class DgbError(Exception):
     """Base class for all package-specific failures."""
 
 
-class HermitianSymmetryError(DgbError):
-    """Coefficients do not describe a real-valued field."""
-
-
 class ProfileError(DgbError):
     """Invalid or degenerate damping profile."""
 

@@ -3,9 +3,9 @@
 Convention: a field is v(x) = sum_k vhat(k) e^{ikx} with |k| <= N.  Fields
 are real-valued, so vhat(-k) == conj(vhat(k)) and vhat(0) is real: a field
 stores its half spectrum, the coefficients k = 0..N, and is real by
-construction.  The full band -N..N (`coeffs`) is derived from it by
-`conjugate_extend`; a full band from outside enters through
-`SpectralField.from_coeffs`, which checks its Hermitian symmetry.  The
+construction.  The half spectrum is the package's one field format: every
+operator maps half spectra to half spectra, and the full band -N..N is
+formed by `conjugate_extend` only inside a convolution that needs it.  The
 integrator and the reference propagators work on the half spectrum, and
 `transport`, the package's one pair of grid transforms, is the kernel on
 it, or on stacked rows of it.  Norms use the weighted convention
@@ -24,11 +24,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.fft import _pocketfft_umath
 
-from .errors import HermitianSymmetryError
-
 TWO_PI = 2.0 * np.pi
-
-_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,35 +50,6 @@ class SpectralField:
         half[0] = half[0].real
         half.setflags(write=False)
         object.__setattr__(self, "half", half)
-
-    @classmethod
-    def from_coeffs(cls, n_modes: int, coeffs) -> "SpectralField":
-        """The field of the full band -N..N, symmetrised exactly.
-
-        Coefficients that are not finite, or violate Hermitian symmetry by
-        more than a 1e-12 relative residue, are rejected.
-        """
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != (2 * n_modes + 1,):
-            raise ValueError(f"expected {2 * n_modes + 1} coefficients, got shape {coeffs.shape}")
-        flipped = np.conj(coeffs[::-1])
-        scale = max(1.0, float(np.abs(coeffs).max(initial=0.0)))
-        if not float(np.abs(coeffs - flipped).max(initial=0.0)) <= _SYMMETRY_TOL * scale < np.inf:
-            raise HermitianSymmetryError(
-                "coefficients are not finite and Hermitian-symmetric; field would not be real"
-            )
-        return cls(n_modes, 0.5 * (coeffs[n_modes:] + flipped[n_modes:]))
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """The coefficients -N..N: a read-only array derived from `half` on every access."""
-        full = conjugate_extend(self.half)
-        full.setflags(write=False)
-        return full
-
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        return np.arange(-self.n_modes, self.n_modes + 1)
 
     def with_cutoff(self, n: int) -> "SpectralField":
         """Pad with zeros or truncate to the cutoff n."""
@@ -114,16 +81,13 @@ def conjugate_extend(half: np.ndarray) -> np.ndarray:
 
 
 def apply_multiplier(v: SpectralField, symbol) -> SpectralField:
-    """Diagonal action out(k) = symbol(k) * vhat(k).
+    """Diagonal action out(k) = symbol(k) * vhat(k) of a vectorised callable `symbol`.
 
-    `symbol` is either a vectorised callable of the wavenumbers or an array
-    over {-N..N}.  Symbols with symbol(-k) != conj(symbol(k)) would produce a
-    non-real field and are rejected by `SpectralField.from_coeffs`.
+    The symbol is evaluated at k = 0..N only, so it must satisfy
+    symbol(-k) = conj(symbol(k)): the action of such a symbol on the full
+    band -N..N is that of a real field, whose half spectrum is returned.
     """
-    sym = np.asarray(symbol(v.wavenumbers) if callable(symbol) else symbol, dtype=np.complex128)
-    if sym.shape != (2 * v.n_modes + 1,):
-        raise ValueError("symbol table does not match the coefficient band")
-    return SpectralField.from_coeffs(v.n_modes, sym * v.coeffs)
+    return SpectralField(v.n_modes, symbol(np.arange(v.n_modes + 1)) * v.half)
 
 
 @lru_cache(maxsize=None)

@@ -35,8 +35,9 @@ from dgblab.dynamics import (
     build_closed_loop,
     linear_propagate,
 )
-from dgblab.errors import DegenerateGramianError, IllPosedHorizonError, ProfileError
+from dgblab.errors import DegenerateGramianError, IllPosedHorizonError, ObservabilityFailureError, ProfileError
 from dgblab.spectral import (
+    conjugate_extend,
     constant_field,
     cosine_field,
     l2_norm,
@@ -432,7 +433,7 @@ class TestRealForm:
         rows = np.arange(-band, band + 1)
         c = np.abs(rows)[:, None] ** (0.5 * profile.delta) * gain_matrix(profile, rows, modes)
         obs, _ = _propagated_gramian(a.conj().T, c.conj().T @ c, 1.0)
-        s = np.delete(rep.worst_mode.coeffs, n)
+        s = np.delete(conjugate_extend(rep.worst_mode.half), n)
         quotient = np.vdot(s, obs @ s).real / np.vdot(s, s).real
         assert quotient == pytest.approx(1.0 / rep.c_obs, rel=1e-10)
         assert scipy.linalg.eigvalsh(obs)[0] == pytest.approx(1.0 / rep.c_obs, rel=1e-10)
@@ -571,8 +572,8 @@ class TestObservability:
         d1 = 1.0 / FOUR_PI_SQ
         assert rep.c_obs == pytest.approx(2.0 / (1.0 - np.exp(-2.0 * d1)), rel=1e-8)
         # worst mode concentrates on |k| = 1, the weakest observed mode
-        coeffs = rep.worst_mode.coeffs
-        k = rep.worst_mode.wavenumbers
+        coeffs = conjugate_extend(rep.worst_mode.half)
+        k = np.arange(-16, 17)
         assert np.abs(coeffs[np.abs(k) != 1]).max() < 1e-8
 
     def test_constant_exceeds_two(self, table, global_profile, bump):
@@ -612,3 +613,18 @@ class TestRatePrediction:
         for profile in (bump, global_profile):
             rep = observability_constant(table, profile, 1.0, 16)
             assert rep.gamma_gramian <= rep.gamma_abscissa + 1e-10
+
+    def test_long_horizon_contraction_keeps_its_digits(self, table, bump, global_profile):
+        # rho = ||e^{TA}||^2 long after 1 - 2/c_obs has cancelled to rounding (c_obs -> 2)
+        rep = observability_constant(table, global_profile, 1000.0, 8)
+        assert rep.c_obs == pytest.approx(2.0, rel=1e-14)
+        assert rep.gamma_gramian == pytest.approx(rep.gamma_abscissa, rel=1e-12)
+        rep = observability_constant(table, bump, 1000.0, 16)
+        flow = scipy.linalg.expm(1000.0 * rep.loop.real_generator)
+        assert rep.rho == pytest.approx(np.linalg.norm(flow, 2) ** 2, rel=1e-6)
+        assert rep.gamma_gramian <= rep.gamma_abscissa + 1e-10
+
+    def test_underflowing_flow_rejected(self, table, global_profile):
+        # ||e^{TA}||^2 = e^{-2 T / (4 pi^2)} lies below the smallest double at T = 1e5
+        with pytest.raises(ObservabilityFailureError, match="underflows"):
+            observability_constant(table, global_profile, 1e5, 8)

@@ -22,6 +22,7 @@ from dgblab.damping import (
 from dgblab.errors import ProfileError
 from dgblab.spectral import (
     SpectralField,
+    conjugate_extend,
     constant_field,
     cosine_field,
     l2_inner,
@@ -188,13 +189,13 @@ class TestGainOperator:
         # reference: the convolution g * (v - integral(v g)), independent of gain_matrix
         rng = np.random.default_rng(3)
         v = random_field(12, rng)
-        w = v.coeffs.copy()
+        w = conjugate_extend(v.half)
         w[12] -= l2_inner(v, gain_field(bump))
         expected = np.convolve(bump.ghat, w)
         rows = np.arange(-(12 + bump.k_modes), 12 + bump.k_modes + 1)
-        mat = gain_matrix(bump, rows, v.wavenumbers)
-        assert np.allclose(mat @ v.coeffs, expected, atol=1e-14)
-        assert np.allclose(apply_gain(bump, v).coeffs, expected, atol=1e-14)
+        mat = gain_matrix(bump, rows, np.arange(-12, 13))
+        assert np.allclose(mat @ conjugate_extend(v.half), expected, atol=1e-14)
+        assert np.allclose(conjugate_extend(apply_gain(bump, v).half), expected, atol=1e-14)
 
 
 class TestFeedbackDecomposition:
@@ -209,8 +210,7 @@ class TestFeedbackDecomposition:
         assert l2_norm(apply_smoothing_remainder(global_profile, v)) == 0.0
         assert l2_norm(apply_mean_correction(global_profile, v)) < 1e-16
         lhs = apply_feedback(global_profile, v)
-        ks = v.wavenumbers
-        expected = SpectralField.from_coeffs(16, np.abs(ks) ** global_profile.delta * v.coeffs / FOUR_PI_SQ)
+        expected = SpectralField(16, np.arange(17) ** global_profile.delta * v.half / FOUR_PI_SQ)
         assert l2_norm(lhs - expected) < 1e-12 * l2_norm(v)
         assert l2_norm(lhs - apply_dissipation_part(global_profile, v)) < 1e-12 * l2_norm(v)
 

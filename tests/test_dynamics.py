@@ -30,6 +30,7 @@ from dgblab.dynamics import (
 from dgblab.errors import DgbError
 from dgblab.spectral import (
     SpectralField,
+    conjugate_extend,
     constant_field,
     cosine_field,
     l2_norm,
@@ -57,7 +58,7 @@ def _galerkin(table, profile, n):
 
 def _state(v, n):
     """The coefficients of v on the modes [-N..-1, 1..N]."""
-    c = v.with_cutoff(n).coeffs
+    c = conjugate_extend(v.with_cutoff(n).half)
     return np.concatenate([c[:n], c[n + 1 :]])
 
 
@@ -336,8 +337,6 @@ class TestIntegrator:
     def test_step_output_exactly_real(self, table, bump):
         # conjugate symmetry and the mean hold by construction, not to rounding:
         # the field a recorded half spectrum extends to is exactly real
-        from dgblab.spectral import conjugate_extend
-
         n = 32
         stepper = Etdrk4Integrator(table, bump, n, 1e-3)
         v = constant_field(n, 0.3) + random_field(n, np.random.default_rng(19), decay=1.5)
@@ -346,7 +345,7 @@ class TestIntegrator:
             h = stepper.step(h)
             c = conjugate_extend(h)
             assert np.array_equal(c, np.conj(c[::-1]))
-            assert c[n] == v.coeffs[n]
+            assert c[n] == v.half[0]
 
     def test_coupling_terms_match_damping_module(self, table, bump):
         # the damping part -B of the closed loop whose eigenbasis the stepper
@@ -399,7 +398,7 @@ class TestIntegrator:
         rng = np.random.default_rng(3)
         for _ in range(5):
             v = random_field(n, rng, amplitude=0.5, decay=0.5)
-            u = v.coeffs[n:].copy()
+            u = v.half.copy()
             nv = nonlin(u)
             a = lin(e_half, u) + lin(q, nv)
             na = nonlin(a)
